@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint wire-spec verify bench bench-hotpath bench-simkernel bench-wirepath bench-obs bench-multicore bench-lease bench-reshard experiments experiments-paper examples clean
+.PHONY: install test lint wire-spec verify bench bench-e2e bench-e2e-smoke bench-simkernel bench-wirepath bench-obs bench-multicore bench-lease bench-reshard experiments experiments-paper examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -43,14 +43,17 @@ verify: lint
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
-# Admission hot-path regression matrix; writes BENCH_hotpath.json at the
-# repo root (seed vs fused per-key paths plus frame-at-a-time check_batch,
-# lock_shards x workers).  HOTPATH_BACKEND selects the bucket table
-# backend(s) for the batch arm, e.g. `make bench-hotpath
-# HOTPATH_BACKEND=object`; default benchmarks both stores.
-HOTPATH_BACKEND ?= slab object
-bench-hotpath:
-	PYTHONPATH=src JANUS_HOTPATH_BACKENDS="$(HOTPATH_BACKEND)" $(PYTHON) -m pytest benchmarks/test_hotpath_regression.py -q -s -p no:cacheprovider
+# End-to-end benchmark of the real-socket cluster (BENCHMARK.json): every
+# workload in a fresh child process, metrics printed by name, verdicts
+# checked, result.json and span files written under bench_e2e/out/.
+bench-e2e:
+	$(PYTHON) -m bench_e2e
+
+# Gating smoke of the end-to-end benchmark: its own test suite, then one
+# short gw_single run (exits non-zero on a verdict violation).
+bench-e2e-smoke:
+	$(PYTHON) -m pytest bench_e2e -q -p no:cacheprovider
+	$(PYTHON) -m bench_e2e --workload gw_single --seconds 2
 
 # DES kernel + parallel sweep regression gate; writes BENCH_simkernel.json
 # at the repo root (optimized vs seed kernel events/s, serial vs --jobs 4

@@ -3,22 +3,11 @@
 The paper attributes QoS-server CPU under-utilization to "the
 implementation of the locking mechanism being used to manage the QoS rules
 in the local QoS table" and defers optimizing it.  This ablation measures
-both halves of the optimization on the real
+the sharding half of that optimization on the real
 :class:`~repro.core.admission.AdmissionController` under real multi-thread
-contention:
-
-- **sharding** — the single synchronized table (``lock_shards=1``, the
-  paper's design) versus a sharded-lock table; and
-- **fusion** — the seed's decision path (shard lock → nested bucket lock →
-  global stats lock, three acquisitions per decision, kept runnable in
-  :class:`repro.metrics.hotpath.SeedPathController`) versus the fused path
-  (everything under the one shard lock).
-
-Sweeping the two axes separately distinguishes shard-lock contention from
-bucket/stats-lock overhead: the ``seed`` column at growing shard counts
-isolates what sharding alone buys, while the per-row ``fused`` column
-shows what eliminating the nested locks adds on top.  Both configurations
-are recorded in the emitted results dict.
+contention: the single synchronized table (``lock_shards=1``, the paper's
+design) versus sharded-lock tables at 4 and 16 shards, all on the fused
+decision path (one lock acquisition per decision).
 """
 
 from __future__ import annotations
@@ -30,7 +19,6 @@ import pytest
 from repro.core.admission import AdmissionController, InMemoryRuleSource
 from repro.core.config import AdmissionConfig
 from repro.core.rules import QoSRule
-from repro.metrics.hotpath import SeedPathController
 from repro.metrics.report import format_table
 from repro.workload.keygen import uuid_keys
 
@@ -40,12 +28,9 @@ KEYS = uuid_keys(256, seed=88)
 SOURCE = InMemoryRuleSource(
     {k: QoSRule(k, refill_rate=1e9, capacity=1e9) for k in KEYS})
 
-PATHS = {"seed": SeedPathController, "fused": AdmissionController}
-
-
-def contended_run(lock_shards: int, path: str = "fused") -> float:
+def contended_run(lock_shards: int) -> float:
     """Run N threads of admission checks; return checks/second."""
-    controller = PATHS[path](
+    controller = AdmissionController(
         SOURCE, AdmissionConfig(lock_shards=lock_shards))
     for k in KEYS:          # materialize buckets outside the timed region
         controller.check(k)
@@ -85,25 +70,18 @@ def test_locking_throughput(benchmark, shards):
 
 def test_locking_ablation_report(benchmark, report_sink):
     def sweep() -> dict:
-        """Both lock configurations for every shard count."""
-        results: dict = {}
-        for shards in (1, 4, 16):
-            results[shards] = {
-                path: round(contended_run(shards, path)) for path in PATHS}
-        return results
+        """Fused-path throughput for every shard count."""
+        return {shards: round(contended_run(shards)) for shards in (1, 4, 16)}
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = [(shards, by_path["seed"], by_path["fused"],
-             f"{by_path['fused'] / by_path['seed']:.2f}x")
-            for shards, by_path in results.items()]
+    baseline = results[1]
+    rows = [(shards, checks, f"{checks / baseline:.2f}x")
+            for shards, checks in results.items()]
     report_sink(format_table(
-        ("lock shards", "seed path checks/s", "fused checks/s", "fusion gain"),
+        ("lock shards", "fused checks/s", "vs 1 shard"),
         rows,
         title="Ablation: synchronized table (1 shard = paper) vs sharded "
-              "locks, seed (3 locks/decision) vs fused (1 lock/decision); "
-              f"{N_THREADS} threads"))
-    # The decisions must be identical regardless of sharding or fusion —
-    # only the throughput may differ (correctness is covered by unit tests
-    # and test_hotpath_regression's semantics check).
-    for by_path in results.values():
-        assert all(t > 0 for t in by_path.values())
+              f"locks, fused path (1 lock/decision); {N_THREADS} threads"))
+    # Only the throughput may differ across shard counts; decision
+    # correctness is covered by the unit tests.
+    assert all(t > 0 for t in results.values())

@@ -313,53 +313,6 @@ def _cmd_bench_simkernel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_hotpath(args: argparse.Namespace) -> int:
-    from repro.metrics.hotpath import run_hotpath_matrix, write_report
-
-    if args.checks < 1:
-        print("error: --checks must be >= 1", file=sys.stderr)
-        return 2
-    if any(s < 1 for s in args.shards) or any(w < 1 for w in args.workers):
-        print("error: --shards and --workers values must be >= 1",
-              file=sys.stderr)
-        return 2
-    report = run_hotpath_matrix(
-        lock_shards=tuple(args.shards),
-        workers=tuple(args.workers),
-        checks_per_worker=args.checks,
-        batch_size=args.batch,
-        batch_backends=tuple(args.backend),
-        reps=args.reps)
-    batch_path = f"batch-{args.backend[0]}"
-    header = f"{'shards':>7} {'workers':>8} {'seed/s':>12} " \
-             f"{'fused/s':>12} {'speedup':>8} {batch_path + '/s':>14} " \
-             f"{'vs fused':>9}"
-    print(header)
-    print("-" * len(header))
-    for shards in args.shards:
-        for workers in args.workers:
-            seed = report.point("seed", shards, workers)
-            fused = report.point("fused", shards, workers)
-            ratio = report.speedup(shards, workers)
-            ratio_s = f"{ratio:.2f}x" if ratio is not None else "n/a"
-            batch = report.point(batch_path, shards, workers)
-            bratio = report.batch_speedup(shards, workers,
-                                          backend=args.backend[0])
-            bratio_s = f"{bratio:.2f}x" if bratio is not None else "n/a"
-            print(f"{shards:>7} {workers:>8} "
-                  f"{seed.decisions_per_sec:>12.0f} "
-                  f"{fused.decisions_per_sec:>12.0f} "
-                  f"{ratio_s:>8} "
-                  f"{batch.decisions_per_sec:>14.0f} "
-                  f"{bratio_s:>9}")
-    for point in report.memory:
-        print(f"memory[{point.backend}]: {point.bytes_per_key:.1f} "
-              f"resident bytes/key over {point.n_keys} keys")
-    write_report(args.out, report)
-    print(f"wrote {args.out}")
-    return 0
-
-
 def _cmd_bench_wirepath(args: argparse.Namespace) -> int:
     from repro.metrics.wirepath import run_wirepath_matrix, write_report
 
@@ -661,28 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="worker processes for the simulator "
                                   "sweeps (default: serial)")
     experiments.set_defaults(func=_cmd_experiments)
-
-    bench = sub.add_parser(
-        "bench-hotpath",
-        help="measure admission decisions/s: seed vs fused per-key paths "
-             "plus frame-at-a-time check_batch per table backend")
-    bench.add_argument("--out", default="BENCH_hotpath.json")
-    bench.add_argument("--shards", type=int, nargs="+", default=[1, 8, 64],
-                       help="lock_shards values to sweep")
-    bench.add_argument("--workers", type=int, nargs="+", default=[1, 4, 8],
-                       help="thread counts to sweep")
-    bench.add_argument("--checks", type=int, default=10_000,
-                       help="admission checks per worker thread")
-    bench.add_argument("--backend", choices=("slab", "object"), nargs="+",
-                       default=["slab", "object"],
-                       help="bucket table backend(s) for the batch arm "
-                            "(first one is shown in the table)")
-    bench.add_argument("--batch", type=int, default=64,
-                       help="requests per v2 batch frame for the batch arm")
-    bench.add_argument("--reps", type=int, default=1,
-                       help="measure each arm N times, keep the fastest "
-                            "(smooths noisy-neighbour episodes)")
-    bench.set_defaults(func=_cmd_bench_hotpath)
 
     bench_sim = sub.add_parser(
         "bench-simkernel",

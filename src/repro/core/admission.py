@@ -4,7 +4,7 @@ This is the logic that runs inside every QoS server node, shared verbatim by
 the real-socket runtime (:mod:`repro.runtime`) and the simulator
 (:mod:`repro.server`):
 
-- a *local QoS table* mapping QoS key → :class:`~repro.core.bucket.LeakyBucket`;
+- a *local QoS table* holding one leaky bucket per QoS key;
 - lazy rule fetch: the first request for a key queries the rule source (the
   database) and materializes a bucket, so new rules are "immediately
   effective as soon as they are added to the database";
@@ -26,48 +26,38 @@ The ``ablation_locking`` benchmark quantifies the difference.
 
 The decision itself is *fused*: :meth:`AdmissionController.check` performs
 the table lookup, the lazy rule materialization on a miss, the bucket
-consume (via :meth:`~repro.core.bucket.LeakyBucket.try_consume_unlocked`)
-and the statistics update under exactly **one** lock — the key's shard
-lock.  The earlier design nested three acquisitions per decision (shard
-lock → bucket lock → global stats lock); the global stats lock in
-particular was taken by every worker on every decision.  Statistics now
-live in per-shard counter stripes merged lazily by the :attr:`stats`
-property, and every maintenance pass (refill, sync, checkpoint, snapshot,
-restore) walks the table shard-at-a-time using the buckets' unlocked API
-so the hot path is never stalled for longer than one shard.
-``benchmarks/test_hotpath_regression.py`` tracks the speedup and
-``tests/core/test_lock_discipline.py`` pins the one-lock-per-decision
-invariant.
+consume and the statistics update under exactly **one** lock — the key's
+shard lock.  Statistics live in one counter stripe per shard, updated under
+that same lock and merged lazily by the :attr:`stats` property, and every
+maintenance pass (refill, sync, checkpoint, snapshot, restore) walks the
+table shard-at-a-time so the hot path is never stalled for longer than one
+shard.  ``tests/core/test_lock_discipline.py`` pins the
+one-lock-per-decision invariant; ``bench_e2e`` reports the per-key cost as
+``admission.check_ns_per_key``.
 
-Storage backends
-----------------
-Two table layouts implement identical semantics behind
-``AdmissionConfig.table_backend``:
+Storage
+-------
+Each lock shard keeps its buckets in a :class:`~repro.core.slabstore.SlabShard`:
+a ``key -> slot`` index plus parallel columns of credit, last-refill time,
+plan and sweep epoch — ~60 bytes per key, allocation-free decisions, and a
+housekeeping sweep that walks flat arrays.  :class:`~repro.core.bucket.LeakyBucket`
+stays the reference semantics: the slab kernels replicate its arithmetic
+op-for-op, and ``tests/core/test_slab_equivalence.py`` drives randomized op
+sequences against a one-``LeakyBucket``-per-key reference model and
+requires bit-identical admit/deny streams.  A ``LeakyBucket`` is also the
+transient bucket that decides an unknown key the default rule does not
+memorize.
 
-- ``"object"`` — the seed layout: one :class:`~repro.core.bucket.LeakyBucket`
-  heap object per key, per shard ``dict``.  Simple, but a bucket costs
-  hundreds of bytes and every decision chases pointers.
-- ``"slab"`` (default) — :class:`SlabAdmissionController` packs bucket state
-  into per-shard columnar arrays (:mod:`repro.core.slabstore`): ~60 bytes
-  per key, allocation-free decisions, and a housekeeping sweep that walks
-  flat arrays.  Constructing :class:`AdmissionController` dispatches to the
-  slab subclass automatically via ``__new__``.
-
-Both backends share the lease ledger, statistics stripes and snapshot
-format; ``tests/core/test_slab_equivalence.py`` drives randomized op
-sequences against both and requires bit-identical admit/deny streams.
-
-On top of either backend, :meth:`AdmissionController.check_batch` decides a
-whole protocol-v2 frame at a time: entries are grouped by shard, each shard
-lock is taken **once per frame**, one clock reading is shared by every
-refill in the shard, and the verdicts come back as a packed bitmap the
-server encodes straight into the v2 response frame.
+:meth:`AdmissionController.check_batch` decides a whole protocol-v2 frame at
+a time: entries are grouped by shard, each shard lock is taken **once per
+frame**, one clock reading is shared by every refill in the shard, and the
+verdicts come back as a packed bitmap the server encodes straight into the
+v2 response frame.
 """
 
 from __future__ import annotations
 
 import itertools
-import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Mapping, Optional, Protocol, Sequence
@@ -84,22 +74,15 @@ __all__ = [
     "AdmissionController",
     "AdmissionStats",
     "BucketSnapshot",
+    "BucketView",
     "InMemoryRuleSource",
     "LeaseSnapshot",
     "RuleSource",
-    "SlabAdmissionController",
-    "SlabBucketView",
 ]
 
 #: Credit amounts below this are "zero" for lease accounting (mirrors the
 #: bucket's own epsilon; see :mod:`repro.core.bucket`).
 _LEASE_EPSILON = 1e-9
-
-#: Per-bucket heap bytes beyond the slotted ``LeakyBucket`` instance itself,
-#: used by the object backend's ``table_bytes`` estimate: the bucket's
-#: private lock plus the boxed floats/ints its slots reference (credit,
-#: last-refill, lifetime counters).  Measured once at import.
-_BUCKET_AUX_BYTES = sys.getsizeof(threading.Lock()) + 4 * sys.getsizeof(1.0)
 
 
 class RuleSource(Protocol):
@@ -195,27 +178,23 @@ class AdmissionStats:
 
 
 class _StatsStripe:
-    """One block of decision counters.
+    """One shard's block of decision counters.
 
-    In the default layout (one stripe per lock shard) the counters are
-    updated while the owning shard's lock is already held, so the hot path
-    pays zero extra acquisitions.  When ``stats_stripes`` is configured
-    below ``lock_shards``, stripes are shared across shards and guarded by
-    their own (low-contention) lock instead.
+    The counters are updated while the owning shard's lock is already
+    held, so the hot path pays zero extra acquisitions for them.
 
     ``rule_hits`` is not stored: a hit is any decision that is not a miss,
     so it is derived as ``admitted + denied - rule_misses`` at merge time,
     which spares the hit path one counter increment per decision.
     """
 
-    __slots__ = ("admitted", "denied", "rule_misses", "unknown_keys", "lock")
+    __slots__ = ("admitted", "denied", "rule_misses", "unknown_keys")
 
     def __init__(self) -> None:
         self.admitted = 0
         self.denied = 0
         self.rule_misses = 0
         self.unknown_keys = 0
-        self.lock = threading.Lock()
 
 
 @dataclass(frozen=True, slots=True)
@@ -266,22 +245,61 @@ class BucketSnapshot:
     leases: "tuple[LeaseSnapshot, ...]" = ()
 
 
+class BucketView:
+    """Introspection adapter presenting one slab slot as a bucket.
+
+    Returned by :meth:`AdmissionController.bucket_for` so tests and metrics
+    can read ``capacity``, ``refill_rate``, ``credit`` and
+    ``peek_credit()`` like a :class:`~repro.core.bucket.LeakyBucket`.  The
+    view holds no slot number: the key is re-resolved under the shard lock
+    on every access, so it stays correct across an eviction +
+    re-materialization (and raises ``KeyError`` while the key is absent,
+    where a stale slot would silently read another bucket's columns).
+    """
+
+    __slots__ = ("_controller", "_key")
+
+    def __init__(self, controller: "AdmissionController", key: str):
+        self._controller = controller
+        self._key = key
+
+    def _resolve(self) -> "tuple[threading.Lock, SlabShard]":
+        c = self._controller
+        index = c._shard_of(self._key)
+        return c._locks[index], c._slabs[index]
+
+    @property
+    def capacity(self) -> float:
+        lock, slab = self._resolve()
+        with lock:
+            return slab.capacity_unlocked(slab.index[self._key])
+
+    @property
+    def refill_rate(self) -> float:
+        lock, slab = self._resolve()
+        with lock:
+            return slab.refill_rate_unlocked(slab.index[self._key])
+
+    @property
+    def credit(self) -> float:
+        """Current credit (advanced to now in continuous mode)."""
+        lock, slab = self._resolve()
+        with lock:
+            return slab.credit_unlocked(slab.index[self._key])
+
+    def peek_credit(self) -> float:
+        """Credit as of the last update, without advancing time."""
+        lock, slab = self._resolve()
+        with lock:
+            return slab.peek_credit_unlocked(slab.index[self._key])
+
+    def __repr__(self) -> str:
+        return (f"BucketView(key={self._key!r}, "
+                f"credit={self.peek_credit():.3f})")
+
+
 class AdmissionController:
     """Per-node admission control over a local table of leaky buckets."""
-
-    def __new__(cls, rule_source=None, config=None, **kwargs):
-        # Backend dispatch: constructing the base class with the (default)
-        # slab backend transparently yields the columnar subclass, so every
-        # call site — runtime, simulator, procplane — picks the layout from
-        # config alone.  Explicit subclasses (the seed-path benchmark
-        # controller, SlabAdmissionController itself) are left untouched:
-        # their internals assume the layout they were written against.
-        if cls is AdmissionController:
-            backend = (config.table_backend if config is not None
-                       else AdmissionConfig().table_backend)
-            if backend == "slab":
-                return super().__new__(SlabAdmissionController)
-        return super().__new__(cls)
 
     def __init__(
         self,
@@ -311,26 +329,26 @@ class AdmissionController:
         self.shard_range = shard_range
         n_shards = self.config.lock_shards
         self._n_shards = n_shards
-        self._shards: list[Dict[str, LeakyBucket]] = [
-            {} for _ in range(n_shards)]
         self._locks = [threading.Lock() for _ in range(n_shards)]
-        # Decision counters: one stripe per shard by default, updated under
-        # the shard lock the decision already holds.  An explicit
-        # ``stats_stripes`` below ``lock_shards`` shares stripes across
-        # shards; those updates then run under the stripe's own lock,
-        # *after* the shard lock is released (never nested).
-        stripes = self.config.stats_stripes or n_shards
-        self._stripe_exclusive = stripes >= n_shards
-        self._stripes = [_StatsStripe()
-                         for _ in range(n_shards if self._stripe_exclusive
-                                        else stripes)]
-        self._n_stripes = len(self._stripes)
-        # One tuple per shard so the hot path resolves lock, table and
-        # stripe with a single attribute lookup and list index.
-        self._shard_state = [
-            (self._locks[i], self._shards[i],
-             self._stripes[i % self._n_stripes])
+        # Decision counters: one stripe per shard, updated under the shard
+        # lock the decision already holds.
+        self._stripes = [_StatsStripe() for _ in range(n_shards)]
+        continuous = self.config.refill_mode is RefillMode.CONTINUOUS
+        self._continuous = continuous
+        self._plans = PlanTable()
+        self._slabs = [SlabShard(self._plans, clock=clock,
+                                 continuous=continuous)
+                       for _ in range(n_shards)]
+        # One (lock, slab, stripe) tuple per shard so the hot path resolves
+        # all three with a single attribute lookup and list index.
+        self._slab_state = [
+            (self._locks[i], self._slabs[i], self._stripes[i])
             for i in range(n_shards)]
+        # check_batch's per-group state with the frame kernel prebound —
+        # one list index replaces an attribute walk per shard per frame.
+        self._slab_frame_state = [
+            (lock, slab, slab.consume_frame_unlocked, stripe)
+            for lock, slab, stripe in self._slab_state]
         # Cold-path maintenance counters (one maintenance thread at a time
         # in practice; the lock covers concurrent admin callers).
         self._control_lock = threading.Lock()
@@ -386,6 +404,33 @@ class AdmissionController:
             return 0
         return hash(key) % self._n_shards
 
+    def _create_slot_locked(
+            self, slab: SlabShard, key: str,
+    ) -> "tuple[Optional[int], bool, Optional[LeakyBucket]]":
+        """Materialize a slot for ``key`` under its shard lock.
+
+        Returns ``(slot, unknown, transient)`` where ``unknown`` flags a
+        key without a database row.  A non-memorized unknown key gets no
+        slot: the decision runs against a throwaway ``transient`` bucket
+        that is never stored.  Acquires no controller lock: the caller
+        folds the miss into its stripe update.
+        """
+        rule = self._source.get_rule(key)
+        if rule is None:
+            # Guest/unknown traffic: apply the default rule (§II-D).
+            rule = self.config.default_rule.rule_for(key)
+            if not self.config.default_rule.memorize_unknown_keys:
+                return None, True, LeakyBucket(
+                    rule.capacity, rule.refill_rate,
+                    mode=self.config.refill_mode, clock=self._clock)
+            unknown = True
+        else:
+            unknown = False
+        plan = self._plans.intern(float(rule.capacity),
+                                  float(rule.refill_rate))
+        slot = slab.insert_unlocked(key, plan, rule.initial_credit())
+        return slot, unknown, None
+
     def check(self, key: str, cost: float = 1.0) -> bool:
         """Decide admission for one request with QoS key ``key``.
 
@@ -395,136 +440,43 @@ class AdmissionController:
         reproduces the paper's synchronized-map behaviour when
         ``lock_shards == 1``).
         """
-        if not self._stripe_exclusive:
-            return self._check_striped(key, cost)
         n = self._n_shards
-        lock, table, stripe = self._shard_state[
+        lock, slab, stripe = self._slab_state[
             hash(key) % n if n > 1 else 0]
         with lock:
-            bucket = table.get(key)
-            if bucket is None:
-                bucket, unknown = self._create_bucket_locked(table, key)
+            slot = slab.index.get(key)
+            if slot is None:
+                slot, unknown, transient = self._create_slot_locked(slab, key)
                 stripe.rule_misses += 1
                 if unknown:
                     stripe.unknown_keys += 1
-            if bucket.try_consume_unlocked(cost):
+                if slot is None:
+                    if transient.try_consume_unlocked(cost):
+                        stripe.admitted += 1
+                        return True
+                    stripe.denied += 1
+                    return False
+            if slab.consume_unlocked(slot, cost):
                 stripe.admitted += 1
                 return True
             stripe.denied += 1
             return False
 
-    def _check_striped(self, key: str, cost: float) -> bool:
-        """Decision variant for ``stats_stripes < lock_shards``.
-
-        The stripe is shared across shards, so its counters are updated
-        under the stripe's own lock *after* the shard lock is released —
-        two flat acquisitions per decision, never nested.
-        """
-        n = self._n_shards
-        lock, table, stripe = self._shard_state[hash(key) % n if n > 1 else 0]
-        hit = True
-        unknown = False
-        with lock:
-            bucket = table.get(key)
-            if bucket is None:
-                hit = False
-                bucket, unknown = self._create_bucket_locked(table, key)
-            allowed = bucket.try_consume_unlocked(cost)
-        with stripe.lock:
-            if not hit:
-                stripe.rule_misses += 1
-                if unknown:
-                    stripe.unknown_keys += 1
-            if allowed:
-                stripe.admitted += 1
-            else:
-                stripe.denied += 1
-        return allowed
-
-    def _create_bucket_locked(self, table: Dict[str, LeakyBucket],
-                              key: str) -> "tuple[LeakyBucket, bool]":
-        """Materialize a bucket for ``key`` under its shard lock.
-
-        Returns ``(bucket, unknown)`` where ``unknown`` flags a key without
-        a database row.  Acquires no controller or bucket lock: the caller
-        folds the unknown-key counter into its striped stats update, so the
-        miss path no longer nests the old global stats lock inside the
-        shard lock.
-        """
-        rule = self._source.get_rule(key)
-        if rule is None:
-            # Guest/unknown traffic: apply the default rule (§II-D).
-            rule = self.config.default_rule.rule_for(key)
-            if not self.config.default_rule.memorize_unknown_keys:
-                return LeakyBucket(
-                    rule.capacity, rule.refill_rate,
-                    mode=self.config.refill_mode, clock=self._clock), True
-            unknown = True
-        else:
-            unknown = False
-        bucket = LeakyBucket(
-            rule.capacity,
-            rule.refill_rate,
-            initial_credit=rule.initial_credit(),
-            mode=self.config.refill_mode,
-            clock=self._clock,
-        )
-        table[key] = bucket
-        return bucket, unknown
-
     # ------------------------------------------------------------------ #
     # frame-at-a-time admission
     # ------------------------------------------------------------------ #
 
-    def _batch_groups(
-            self, keys: Sequence[str],
-    ) -> "list[Optional[Sequence[int]]]":
+    def _batch_groups(self, keys: Sequence[str]) -> "list[list[int]]":
         """Group frame positions by lock shard (preserving per-key order).
 
-        Returns a list aligned with the shard index — ``groups[i]`` is the
-        frame positions owned by shard ``i``, or empty/``None`` for shards
-        the frame does not touch (callers skip falsy entries).  Flat list
-        indexing keeps this pre-pass (one hash per key, paid instead of
-        one lock per key) as cheap as it can be in Python.
+        ``groups[i]`` holds the frame positions owned by shard ``i``;
+        shards the frame does not touch keep an empty list, which callers
+        skip.  One hash per key is paid here instead of one lock per key.
         """
         n = self._n_shards
-        if n <= 16:
-            # Few shards: pre-allocating every group removes the per-key
-            # emptiness branch from the loop; untouched shards stay as
-            # (falsy) empty lists.
-            groups: "list[Optional[list[int]]]" = [[] for _ in range(n)]
-            if n & (n - 1) == 0:
-                # Power-of-two shard counts (the default, and what
-                # OPERATIONS recommends) let the mod collapse to a mask;
-                # Python's ``%`` and ``&`` agree for any hash sign when n
-                # is a power of two.
-                mask = n - 1
-                for pos, key in enumerate(keys):
-                    groups[hash(key) & mask].append(pos)
-            else:
-                for pos, key in enumerate(keys):
-                    groups[hash(key) % n].append(pos)
-            return groups
-        # Many shards, small frames: ``None`` holes avoid allocating a
-        # list per untouched shard.
-        groups = [None] * n
-        if n & (n - 1) == 0:
-            mask = n - 1
-            for pos, key in enumerate(keys):
-                index = hash(key) & mask
-                positions = groups[index]
-                if positions is None:
-                    groups[index] = [pos]
-                else:
-                    positions.append(pos)
-        else:
-            for pos, key in enumerate(keys):
-                index = hash(key) % n
-                positions = groups[index]
-                if positions is None:
-                    groups[index] = [pos]
-                else:
-                    positions.append(pos)
+        groups: "list[list[int]]" = [[] for _ in range(n)]
+        for pos, key in enumerate(keys):
+            groups[hash(key) % n].append(pos)
         return groups
 
     def check_batch(self, keys: Sequence[str],
@@ -535,11 +487,11 @@ class AdmissionController:
         This is the frame-at-a-time fast path behind protocol-v2 batch
         frames: entries are grouped by lock shard, each shard lock is taken
         exactly **once per frame**, and one clock reading is shared by every
-        refill in the frame (``try_consume_unlocked(now=...)``), so an
-        N-entry frame costs S lock acquisitions for S distinct shards and a
-        single clock read instead of N of each.  Per-key decision order is
-        preserved within a shard, so repeated keys interact with their
-        bucket exactly as N sequential :meth:`check` calls would.
+        refill in the frame, so an N-entry frame costs S lock acquisitions
+        for S distinct shards and a single clock read instead of N of each.
+        Per-key decision order is preserved within a shard, so repeated keys
+        interact with their bucket exactly as N sequential :meth:`check`
+        calls would.
 
         The packed bitmap is what the server encodes straight into the v2
         response frame (see ``protocol.encode_response_frame_bits``).
@@ -548,44 +500,111 @@ class AdmissionController:
         if n_keys == 0:
             return 0
         verdicts = 0
-        exclusive = self._stripe_exclusive
         if self._n_shards == 1:
-            shard_groups: "list[Optional[Sequence[int]]]" = [range(n_keys)]
+            shard_groups: "Sequence[Sequence[int]]" = [range(n_keys)]
         else:
             shard_groups = self._batch_groups(keys)
-        # One clock reading serves the whole frame: every bucket's refill
+        # One clock reading serves the whole frame: every slot's refill
         # guard (``dt <= 0`` → no-op) makes a slightly stale ``now`` safe,
-        # and per-bucket time still never moves backward.
+        # and per-slot time still never moves backward.
         now = self._clock()
+        unit_continuous = costs is None and self._continuous
+        if unit_continuous:
+            plan_rate = self._plans.rate
+            plan_cap = self._plans.cap
+            all_bits = _BITS
+            threshold = _UNIT_THRESHOLD
         for index, positions in enumerate(shard_groups):
             if not positions:
                 continue
-            lock, table, stripe = self._shard_state[index]
-            admitted = denied = misses = unknowns = 0
+            lock, slab, consume_frame, stripe = self._slab_frame_state[index]
+            misses = unknowns = 0
             with lock:
-                for pos in positions:
-                    key = keys[pos]
-                    cost = 1.0 if costs is None else costs[pos]
-                    bucket = table.get(key)
-                    if bucket is None:
-                        bucket, unknown = self._create_bucket_locked(table, key)
-                        misses += 1
-                        if unknown:
-                            unknowns += 1
-                    if bucket.try_consume_unlocked(cost, now=now):
-                        verdicts |= 1 << pos
-                        admitted += 1
-                    else:
-                        denied += 1
-                if exclusive:
-                    stripe.admitted += admitted
+                # One flat column loop for every key already resident;
+                # only unseen keys fall out for materialization below.
+                # The hottest shape — unit costs against a shard whose
+                # live slots all share one plan — is decided right here,
+                # with the plan's rate/capacity and every column hoisted
+                # into locals, so the steady-state path pays no method
+                # call or dispatch per group.  Arithmetic is op-for-op
+                # ``SlabShard.consume_unlocked``; mixed plans, explicit
+                # costs and interval mode take the general kernel.
+                plan = slab.uniform_plan if unit_continuous else None
+                if plan is not None:
+                    r = plan_rate[plan]
+                    c = plan_cap[plan]
+                    refilling = r > 0.0
+                    slot_of = slab.index
+                    col_credit = slab.col_credit
+                    col_last = slab.col_last
+                    col_touch = slab.col_touch
+                    epoch = slab.epoch
+                    bits = 0
+                    miss_positions = None
+                    for pos in positions:
+                        try:        # zero-cost until a key misses (3.11+)
+                            slot = slot_of[keys[pos]]
+                        except KeyError:
+                            if miss_positions is None:
+                                miss_positions = []
+                            miss_positions.append(pos)
+                            continue
+                        credit = col_credit[slot]
+                        dt = now - col_last[slot]
+                        if dt > 0.0:
+                            col_last[slot] = now
+                            if refilling and credit < c:
+                                credit += r * dt
+                                if credit > c:
+                                    credit = c
+                        if col_touch[slot] != epoch:
+                            col_touch[slot] = epoch
+                        if credit >= threshold:
+                            credit -= 1.0
+                            col_credit[slot] = (
+                                credit if credit > 0.0 else 0.0)
+                            bits |= all_bits[pos]
+                        else:
+                            col_credit[slot] = credit
+                    admitted = bits.bit_count()
+                else:
+                    bits, admitted, miss_positions = consume_frame(
+                        keys, positions, costs, now)
+                verdicts |= bits
+                denied = len(positions) - admitted
+                if miss_positions is not None:
+                    denied -= len(miss_positions)
+                    slab_index = slab.index
+                    consume = slab.consume_unlocked
+                    for pos in miss_positions:
+                        key = keys[pos]
+                        cost = 1.0 if costs is None else costs[pos]
+                        # A key repeated within the frame missed once and
+                        # is resident by its second occurrence.
+                        slot = slab_index.get(key)
+                        if slot is None:
+                            slot, unknown, transient = \
+                                self._create_slot_locked(slab, key)
+                            misses += 1
+                            if unknown:
+                                unknowns += 1
+                            if slot is None:
+                                if transient.try_consume_unlocked(cost,
+                                                                  now=now):
+                                    verdicts |= 1 << pos
+                                    admitted += 1
+                                else:
+                                    denied += 1
+                                continue
+                        if consume(slot, cost, now):
+                            verdicts |= 1 << pos
+                            admitted += 1
+                        else:
+                            denied += 1
+                stripe.admitted += admitted
+                if denied:
                     stripe.denied += denied
-                    stripe.rule_misses += misses
-                    stripe.unknown_keys += unknowns
-            if not exclusive:
-                with stripe.lock:
-                    stripe.admitted += admitted
-                    stripe.denied += denied
+                if misses:
                     stripe.rule_misses += misses
                     stripe.unknown_keys += unknowns
         return verdicts
@@ -616,18 +635,26 @@ class AdmissionController:
             fraction = rule.max_lease_fraction
         n = self._n_shards
         index = hash(key) % n if n > 1 else 0
-        lock, table, _stripe = self._shard_state[index]
+        lock, slab, _stripe = self._slab_state[index]
         granted = 0.0
         lease_id = 0
         with lock:
-            bucket = table.get(key)
-            if bucket is None:
-                bucket, _unknown = self._create_bucket_locked(table, key)
+            slot = slab.index.get(key)
+            transient = None
+            if slot is None:
+                slot, _unknown, transient = self._create_slot_locked(slab, key)
             outstanding = self._lease_outstanding[index]
-            headroom = fraction * bucket.capacity - outstanding.get(key, 0.0)
+            if slot is None:
+                capacity = transient.capacity
+            else:
+                capacity = slab.capacity_unlocked(slot)
+            headroom = fraction * capacity - outstanding.get(key, 0.0)
             ask = want if want < headroom else headroom
             if ask > _LEASE_EPSILON:
-                granted = bucket.lease_debit_unlocked(ask)
+                if slot is None:
+                    granted = transient.lease_debit_unlocked(ask)
+                else:
+                    granted = slab.lease_debit_unlocked(slot, ask)
             if granted > 0.0:
                 lease_id = next(self._lease_ids)
                 self._lease_shards[index][lease_id] = _LeaseRecord(
@@ -652,7 +679,7 @@ class AdmissionController:
         """
         n = self._n_shards
         index = hash(key) % n if n > 1 else 0
-        lock, table, _stripe = self._shard_state[index]
+        lock, slab, _stripe = self._slab_state[index]
         accepted = 0.0
         closed = False
         with lock:
@@ -662,10 +689,10 @@ class AdmissionController:
                 self._drop_outstanding_locked(index, key, record.granted)
                 closed = True
                 if credits > 0.0:
-                    bucket = table.get(key)
-                    if bucket is not None:
+                    slot = slab.index.get(key)
+                    if slot is not None:
                         give = min(credits, record.granted)
-                        accepted = bucket.lease_return_unlocked(give)
+                        accepted = slab.lease_return_unlocked(slot, give)
         if closed:
             with self._control_lock:
                 self._lease_returns += 1
@@ -842,20 +869,23 @@ class AdmissionController:
         evicted_idle = 0
         evicted_forced = 0
         evict_credits: Dict[str, float] = {}
-        for index, (shard, lock) in enumerate(zip(self._shards, self._locks)):
+        for index, (lock, slab, _stripe) in enumerate(self._slab_state):
             with lock:
                 now = self._clock()
                 leased = self._lease_outstanding[index]
+                epoch = slab.epoch
+                touch = slab.col_touch
                 doomed: "list[str] | None" = None
-                for key, bucket in shard.items():
-                    bucket.advance_unlocked(now)
-                    activity = bucket.consumed_total + bucket.denied_total
-                    idle = bucket.activity_at_sweep == activity
-                    bucket.activity_at_sweep = activity
-                    if not idle or key in leased:
+                for key, slot in slab.index.items():
+                    slab.advance_unlocked(slot, now)
+                    # An untouched slot saw no decision since the previous
+                    # sweep.  Freshly inserted slots carry the current
+                    # epoch, so a bucket always survives at least one full
+                    # sweep interval.
+                    if touch[slot] == epoch or key in leased:
                         continue
-                    credit = bucket.credit_unlocked(now)
-                    if credit >= bucket.capacity - _LEASE_EPSILON:
+                    credit = slab.credit_unlocked(slot, now)
+                    if credit >= slab.capacity_unlocked(slot) - _LEASE_EPSILON:
                         evicted_idle += 1
                     elif evicted_forced < force_budget:
                         evicted_forced += 1
@@ -865,10 +895,11 @@ class AdmissionController:
                     if doomed is None:
                         doomed = []
                     doomed.append(key)
-                count += len(shard)
+                count += len(slab.index)
                 if doomed:
                     for key in doomed:
-                        del shard[key]
+                        slab.evict_unlocked(key)
+                slab.bump_epoch_unlocked()
         if evict_credits:
             self._source.checkpoint(evict_credits)   # no lock held
         if evicted_idle or evicted_forced:
@@ -892,28 +923,25 @@ class AdmissionController:
         revoked: "list[tuple[str, _LeaseRecord]]" = []
         for key in local_keys:
             shard = self._shard_of(key)
+            slab = self._slabs[shard]
             with self._locks[shard]:
-                bucket = self._shards[shard].get(key)
-                if bucket is None:
+                slot = slab.index.get(key)
+                if slot is None:
                     continue
                 rule = fresh.get(key)
                 if rule is None:
-                    default = self.config.default_rule
-                    if (bucket.capacity, bucket.refill_rate) != (default.capacity,
-                                                                 default.refill_rate):
-                        bucket.update_rule_unlocked(default.capacity,
-                                                    default.refill_rate)
-                        updated += 1
-                        # A changed rule invalidates outstanding leases:
-                        # a router spending a stale balance would keep
-                        # admitting at the old plan for up to a TTL.
-                        for record in self._revoke_leases_for_key_locked(
-                                shard, key):
-                            revoked.append((key, record))
-                elif (bucket.capacity, bucket.refill_rate) != (rule.capacity,
-                                                               rule.refill_rate):
-                    bucket.update_rule_unlocked(rule.capacity, rule.refill_rate)
+                    target = (self.config.default_rule.capacity,
+                              self.config.default_rule.refill_rate)
+                else:
+                    target = (rule.capacity, rule.refill_rate)
+                if (slab.capacity_unlocked(slot),
+                        slab.refill_rate_unlocked(slot)) != target:
+                    slab.set_plan_unlocked(slot, self._plans.intern(
+                        float(target[0]), float(target[1])))
                     updated += 1
+                    # A changed rule invalidates outstanding leases: a
+                    # router spending a stale balance would keep admitting
+                    # at the old plan for up to a TTL.
                     for record in self._revoke_leases_for_key_locked(
                             shard, key):
                         revoked.append((key, record))
@@ -930,11 +958,11 @@ class AdmissionController:
         Returns the number of keys check-pointed.
         """
         credits: Dict[str, float] = {}
-        for shard, lock in zip(self._shards, self._locks):
+        for lock, slab, _stripe in self._slab_state:
             with lock:
                 now = self._clock()
-                for key, bucket in shard.items():
-                    credits[key] = bucket.credit_unlocked(now)
+                for key, slot in slab.index.items():
+                    credits[key] = slab.credit_unlocked(slot, now)
         self._source.checkpoint(credits)      # DB round trip: no lock held
         with self._control_lock:
             self._checkpoints += 1
@@ -947,19 +975,21 @@ class AdmissionController:
     def local_keys(self) -> list[str]:
         """All keys currently materialized in the local QoS table."""
         keys: list[str] = []
-        for shard, lock in zip(self._shards, self._locks):
+        for lock, slab, _stripe in self._slab_state:
             with lock:
-                keys.extend(shard.keys())
+                keys.extend(slab.index.keys())
         return keys
 
     def table_size(self) -> int:
-        return sum(len(s) for s in self._shards)
+        return sum(len(slab) for slab in self._slabs)
 
-    def bucket_for(self, key: str) -> Optional[LeakyBucket]:
+    def bucket_for(self, key: str) -> Optional[BucketView]:
         """Direct bucket access (tests and metrics only)."""
         shard = self._shard_of(key)
         with self._locks[shard]:
-            return self._shards[shard].get(key)
+            if key not in self._slabs[shard].index:
+                return None
+        return BucketView(self, key)
 
     def snapshot(self) -> list[BucketSnapshot]:
         """Consistent-enough copy of the local table for HA replication.
@@ -968,7 +998,7 @@ class AdmissionController:
         frozen, which matches the paper's continuously replicating slave.
         """
         snaps: list[BucketSnapshot] = []
-        for index, (shard, lock) in enumerate(zip(self._shards, self._locks)):
+        for index, (lock, slab, _stripe) in enumerate(self._slab_state):
             with lock:
                 now = self._clock()
                 ledger = self._lease_shards[index]
@@ -980,11 +1010,11 @@ class AdmissionController:
                     by_key.setdefault(record.key, []).append(LeaseSnapshot(
                         lease_id=record.lease_id, granted=record.granted,
                         ttl_remaining=remaining, holder=record.holder))
-                for key, bucket in shard.items():
+                for key, slot in slab.index.items():
                     snaps.append(BucketSnapshot(
-                        key=key, capacity=bucket.capacity,
-                        refill_rate=bucket.refill_rate,
-                        credit=bucket.credit_unlocked(now),
+                        key=key, capacity=slab.capacity_unlocked(slot),
+                        refill_rate=slab.refill_rate_unlocked(slot),
+                        credit=slab.credit_unlocked(slot, now),
                         leases=tuple(by_key.get(key, ()))))
         return snaps
 
@@ -1000,8 +1030,16 @@ class AdmissionController:
         max_lease_id = 0
         for snap in snapshots:
             shard = self._shard_of(snap.key)
+            slab = self._slabs[shard]
             with self._locks[shard]:
-                self._restore_entry_locked(shard, snap)
+                plan = self._plans.intern(float(snap.capacity),
+                                          float(snap.refill_rate))
+                slot = slab.index.get(snap.key)
+                if slot is None:
+                    slab.insert_unlocked(snap.key, plan, snap.credit)
+                else:
+                    slab.set_plan_unlocked(slot, plan)
+                    slab.restore_credit_unlocked(slot, snap.credit)
                 if snap.leases:
                     now = self._clock()
                     ledger = self._lease_shards[shard]
@@ -1039,8 +1077,10 @@ class AdmissionController:
         dropped = 0
         for key in keys:
             shard = self._shard_of(key)
+            slab = self._slabs[shard]
             with self._locks[shard]:
-                if self._drop_bucket_locked(shard, key):
+                if key in slab.index:
+                    slab.evict_unlocked(key)
                     dropped += 1
                 # Ledger entries for the moved key went with the
                 # snapshot; dropping the local copies is not a revoke
@@ -1048,576 +1088,12 @@ class AdmissionController:
                 self._revoke_leases_for_key_locked(shard, key)
         return dropped
 
-    def _drop_bucket_locked(self, shard: int, key: str) -> bool:
-        """Remove one bucket under its shard lock (backend-specific)."""
-        return self._shards[shard].pop(key, None) is not None
-
-    def _restore_entry_locked(self, shard: int, snap: BucketSnapshot) -> None:
-        """Materialize or overwrite one snapshot entry (backend-specific)."""
-        bucket = self._shards[shard].get(snap.key)
-        if bucket is None:
-            bucket = LeakyBucket(
-                snap.capacity, snap.refill_rate,
-                initial_credit=snap.credit,
-                mode=self.config.refill_mode, clock=self._clock)
-            self._shards[shard][snap.key] = bucket
-        else:
-            bucket.update_rule_unlocked(snap.capacity, snap.refill_rate)
-            bucket.restore_credit_unlocked(snap.credit)
-
     def table_bytes(self) -> int:
-        """Estimated resident bytes of the QoS table (metrics gauge).
+        """Resident bytes of the slab columns, index and plan table.
 
-        Walks the table under the shard locks at scrape time.  For the
-        object backend this sums the shard dicts plus a per-bucket estimate
-        (the slotted instance, its lock and its boxed floats/counters); the
-        slab backend overrides it with exact column accounting.
+        Walks the table under the shard locks at scrape time (metrics
+        gauge).
         """
-        total = 0
-        for shard, lock in zip(self._shards, self._locks):
-            with lock:
-                total += sys.getsizeof(shard)
-                for bucket in shard.values():
-                    total += sys.getsizeof(bucket) + _BUCKET_AUX_BYTES
-        return total
-
-
-class SlabBucketView:
-    """Introspection adapter presenting one slab slot as a bucket.
-
-    Returned by :meth:`SlabAdmissionController.bucket_for` so tests and
-    metrics keep the ``bucket_for(key).peek_credit()`` surface they use
-    against the object backend.  The view holds no slot number: the key is
-    re-resolved under the shard lock on every access, so it stays correct
-    across an eviction + re-materialization (and raises ``KeyError`` while
-    the key is absent, where a stale slot would silently read another
-    bucket's columns).
-    """
-
-    __slots__ = ("_controller", "_key")
-
-    def __init__(self, controller: "SlabAdmissionController", key: str):
-        self._controller = controller
-        self._key = key
-
-    def _resolve(self) -> "tuple[threading.Lock, SlabShard, int]":
-        c = self._controller
-        index = c._shard_of(self._key)
-        slab = c._slabs[index]
-        return c._locks[index], slab, index
-
-    @property
-    def capacity(self) -> float:
-        lock, slab, _ = self._resolve()
-        with lock:
-            return slab.capacity_unlocked(slab.index[self._key])
-
-    @property
-    def refill_rate(self) -> float:
-        lock, slab, _ = self._resolve()
-        with lock:
-            return slab.refill_rate_unlocked(slab.index[self._key])
-
-    @property
-    def credit(self) -> float:
-        """Current credit (advanced to now in continuous mode)."""
-        lock, slab, _ = self._resolve()
-        with lock:
-            return slab.credit_unlocked(slab.index[self._key])
-
-    def peek_credit(self) -> float:
-        """Credit as of the last update, without advancing time."""
-        lock, slab, _ = self._resolve()
-        with lock:
-            return slab.peek_credit_unlocked(slab.index[self._key])
-
-    def __repr__(self) -> str:
-        return (f"SlabBucketView(key={self._key!r}, "
-                f"credit={self.peek_credit():.3f})")
-
-
-class SlabAdmissionController(AdmissionController):
-    """Admission controller backed by the columnar slab store.
-
-    Same semantics as the object backend — the equivalence suite drives
-    randomized op sequences against both and demands bit-identical
-    admit/deny streams — at ~1/4 the resident bytes per key and with
-    allocation-free decisions.  Constructed automatically by
-    ``AdmissionController(...)`` when ``config.table_backend == "slab"``.
-
-    The lease ledger, statistics stripes, shard locks and snapshot format
-    are inherited unchanged; only the bucket *storage* differs, so every
-    override below is the base method with ``bucket.<op>_unlocked``
-    replaced by the slab's slot accessors under the same shard lock.
-    """
-
-    def __init__(
-        self,
-        rule_source: RuleSource,
-        config: Optional[AdmissionConfig] = None,
-        *,
-        clock: Clock = MONOTONIC,
-        shard_range: "Optional[tuple[int, int]]" = None,
-    ):
-        super().__init__(rule_source, config, clock=clock,
-                         shard_range=shard_range)
-        continuous = self.config.refill_mode is RefillMode.CONTINUOUS
-        self._continuous = continuous
-        self._plans = PlanTable()
-        self._slabs = [SlabShard(self._plans, clock=clock,
-                                 continuous=continuous)
-                       for _ in range(self._n_shards)]
-        # Mirror of _shard_state for the slab hot path: (lock, slab,
-        # stripe) per shard, resolved with one list index per decision.
-        # The inherited _shards dicts stay empty and unused.
-        self._slab_state = [
-            (self._locks[i], self._slabs[i],
-             self._stripes[i % self._n_stripes])
-            for i in range(self._n_shards)]
-        # check_batch's per-group state with the frame kernel prebound —
-        # one list index replaces an attribute walk per shard per frame.
-        self._slab_frame_state = [
-            (lock, slab, slab.consume_frame_unlocked, stripe)
-            for lock, slab, stripe in self._slab_state]
-
-    # ------------------------------------------------------------------ #
-    # hot path
-    # ------------------------------------------------------------------ #
-
-    def _create_slot_locked(
-            self, slab: SlabShard, key: str,
-    ) -> "tuple[Optional[int], bool, Optional[LeakyBucket]]":
-        """Materialize a slot for ``key`` under its shard lock.
-
-        Returns ``(slot, unknown, transient)``.  A non-memorized unknown
-        key gets no slot: like the object backend, the decision runs
-        against a throwaway ``transient`` bucket that is never stored.
-        """
-        rule = self._source.get_rule(key)
-        if rule is None:
-            rule = self.config.default_rule.rule_for(key)
-            if not self.config.default_rule.memorize_unknown_keys:
-                return None, True, LeakyBucket(
-                    rule.capacity, rule.refill_rate,
-                    mode=self.config.refill_mode, clock=self._clock)
-            unknown = True
-        else:
-            unknown = False
-        plan = self._plans.intern(float(rule.capacity),
-                                  float(rule.refill_rate))
-        slot = slab.insert_unlocked(key, plan, rule.initial_credit())
-        return slot, unknown, None
-
-    def check(self, key: str, cost: float = 1.0) -> bool:
-        if not self._stripe_exclusive:
-            return self._check_striped(key, cost)
-        n = self._n_shards
-        lock, slab, stripe = self._slab_state[
-            hash(key) % n if n > 1 else 0]
-        with lock:
-            slot = slab.index.get(key)
-            if slot is None:
-                slot, unknown, transient = self._create_slot_locked(slab, key)
-                stripe.rule_misses += 1
-                if unknown:
-                    stripe.unknown_keys += 1
-                if slot is None:
-                    if transient.try_consume_unlocked(cost):
-                        stripe.admitted += 1
-                        return True
-                    stripe.denied += 1
-                    return False
-            if slab.consume_unlocked(slot, cost):
-                stripe.admitted += 1
-                return True
-            stripe.denied += 1
-            return False
-
-    def _check_striped(self, key: str, cost: float) -> bool:
-        n = self._n_shards
-        lock, slab, stripe = self._slab_state[hash(key) % n if n > 1 else 0]
-        hit = True
-        unknown = False
-        with lock:
-            slot = slab.index.get(key)
-            if slot is None:
-                hit = False
-                slot, unknown, transient = self._create_slot_locked(slab, key)
-            if slot is None:
-                allowed = transient.try_consume_unlocked(cost)
-            else:
-                allowed = slab.consume_unlocked(slot, cost)
-        with stripe.lock:
-            if not hit:
-                stripe.rule_misses += 1
-                if unknown:
-                    stripe.unknown_keys += 1
-            if allowed:
-                stripe.admitted += 1
-            else:
-                stripe.denied += 1
-        return allowed
-
-    def check_batch(self, keys: Sequence[str],
-                    costs: "Optional[Sequence[float]]" = None) -> int:
-        n_keys = len(keys)
-        if n_keys == 0:
-            return 0
-        verdicts = 0
-        exclusive = self._stripe_exclusive
-        if self._n_shards == 1:
-            shard_groups: "list[Optional[Sequence[int]]]" = [range(n_keys)]
-        else:
-            shard_groups = self._batch_groups(keys)
-        # One clock reading serves the whole frame (see the base class).
-        now = self._clock()
-        unit_continuous = costs is None and self._continuous
-        if unit_continuous:
-            plan_rate = self._plans.rate
-            plan_cap = self._plans.cap
-            all_bits = _BITS
-            threshold = _UNIT_THRESHOLD
-        for index, positions in enumerate(shard_groups):
-            if not positions:
-                continue
-            lock, slab, consume_frame, stripe = self._slab_frame_state[index]
-            misses = unknowns = 0
-            with lock:
-                # One flat column loop for every key already resident;
-                # only unseen keys fall out for materialization below.
-                # The hottest shape — unit costs against a shard whose
-                # live slots all share one plan — is decided right here,
-                # with the plan's rate/capacity and every column hoisted
-                # into locals, so the steady-state path pays no method
-                # call or dispatch per group.  Arithmetic is op-for-op
-                # ``SlabShard.consume_unlocked``; mixed plans, explicit
-                # costs and interval mode take the general kernel.
-                plan = slab.uniform_plan if unit_continuous else None
-                if plan is not None:
-                    r = plan_rate[plan]
-                    c = plan_cap[plan]
-                    refilling = r > 0.0
-                    slot_of = slab.index
-                    col_credit = slab.col_credit
-                    col_last = slab.col_last
-                    col_touch = slab.col_touch
-                    epoch = slab.epoch
-                    bits = 0
-                    miss_positions = None
-                    for pos in positions:
-                        try:        # zero-cost until a key misses (3.11+)
-                            slot = slot_of[keys[pos]]
-                        except KeyError:
-                            if miss_positions is None:
-                                miss_positions = []
-                            miss_positions.append(pos)
-                            continue
-                        credit = col_credit[slot]
-                        dt = now - col_last[slot]
-                        if dt > 0.0:
-                            col_last[slot] = now
-                            if refilling and credit < c:
-                                credit += r * dt
-                                if credit > c:
-                                    credit = c
-                        if col_touch[slot] != epoch:
-                            col_touch[slot] = epoch
-                        if credit >= threshold:
-                            credit -= 1.0
-                            col_credit[slot] = (
-                                credit if credit > 0.0 else 0.0)
-                            bits |= all_bits[pos]
-                        else:
-                            col_credit[slot] = credit
-                    admitted = bits.bit_count()
-                else:
-                    bits, admitted, miss_positions = consume_frame(
-                        keys, positions, costs, now)
-                verdicts |= bits
-                denied = len(positions) - admitted
-                if miss_positions is not None:
-                    denied -= len(miss_positions)
-                    slab_index = slab.index
-                    consume = slab.consume_unlocked
-                    for pos in miss_positions:
-                        key = keys[pos]
-                        cost = 1.0 if costs is None else costs[pos]
-                        # A key repeated within the frame missed once and
-                        # is resident by its second occurrence.
-                        slot = slab_index.get(key)
-                        if slot is None:
-                            slot, unknown, transient = \
-                                self._create_slot_locked(slab, key)
-                            misses += 1
-                            if unknown:
-                                unknowns += 1
-                            if slot is None:
-                                if transient.try_consume_unlocked(cost,
-                                                                  now=now):
-                                    verdicts |= 1 << pos
-                                    admitted += 1
-                                else:
-                                    denied += 1
-                                continue
-                        if consume(slot, cost, now):
-                            verdicts |= 1 << pos
-                            admitted += 1
-                        else:
-                            denied += 1
-                if exclusive:
-                    stripe.admitted += admitted
-                    if denied:
-                        stripe.denied += denied
-                    if misses:
-                        stripe.rule_misses += misses
-                        stripe.unknown_keys += unknowns
-            if not exclusive:
-                with stripe.lock:
-                    stripe.admitted += admitted
-                    if denied:
-                        stripe.denied += denied
-                    if misses:
-                        stripe.rule_misses += misses
-                        stripe.unknown_keys += unknowns
-        return verdicts
-
-    # ------------------------------------------------------------------ #
-    # credit leases
-    # ------------------------------------------------------------------ #
-
-    def lease_grant(self, key: str, want: float, ttl: float,
-                    holder: "tuple | None" = None) -> "tuple[int, float, float]":
-        if want <= 0 or ttl <= 0:
-            return (0, 0.0, 0.0)
-        ttl = min(ttl, self.config.max_lease_ttl)
-        rule = self._source.get_rule(key)
-        fraction = self.config.max_lease_fraction
-        if rule is not None and rule.max_lease_fraction is not None:
-            fraction = rule.max_lease_fraction
-        n = self._n_shards
-        index = hash(key) % n if n > 1 else 0
-        lock, slab, _stripe = self._slab_state[index]
-        granted = 0.0
-        lease_id = 0
-        with lock:
-            slot = slab.index.get(key)
-            transient = None
-            if slot is None:
-                slot, _unknown, transient = self._create_slot_locked(slab, key)
-            outstanding = self._lease_outstanding[index]
-            if slot is None:
-                capacity = transient.capacity
-            else:
-                capacity = slab.capacity_unlocked(slot)
-            headroom = fraction * capacity - outstanding.get(key, 0.0)
-            ask = want if want < headroom else headroom
-            if ask > _LEASE_EPSILON:
-                if slot is None:
-                    granted = transient.lease_debit_unlocked(ask)
-                else:
-                    granted = slab.lease_debit_unlocked(slot, ask)
-            if granted > 0.0:
-                lease_id = next(self._lease_ids)
-                self._lease_shards[index][lease_id] = _LeaseRecord(
-                    lease_id, key, granted, self._clock() + ttl, holder)
-                outstanding[key] = outstanding.get(key, 0.0) + granted
-        with self._control_lock:
-            if granted > 0.0:
-                self._lease_grants += 1
-                self._lease_granted_credits += granted
-            else:
-                self._lease_refusals += 1
-        return (lease_id, granted, ttl if granted > 0.0 else 0.0)
-
-    def lease_return(self, key: str, lease_id: int, credits: float) -> float:
-        n = self._n_shards
-        index = hash(key) % n if n > 1 else 0
-        lock, slab, _stripe = self._slab_state[index]
-        accepted = 0.0
-        closed = False
-        with lock:
-            record = self._lease_shards[index].get(lease_id)
-            if record is not None and record.key == key:
-                del self._lease_shards[index][lease_id]
-                self._drop_outstanding_locked(index, key, record.granted)
-                closed = True
-                if credits > 0.0:
-                    slot = slab.index.get(key)
-                    if slot is not None:
-                        give = min(credits, record.granted)
-                        accepted = slab.lease_return_unlocked(slot, give)
-        if closed:
-            with self._control_lock:
-                self._lease_returns += 1
-                self._lease_returned_credits += accepted
-        return accepted
-
-    # ------------------------------------------------------------------ #
-    # housekeeping
-    # ------------------------------------------------------------------ #
-
-    def refill_all(self) -> int:
-        count = 0
-        cap = self.config.max_table_entries
-        force_budget = max(0, self.table_size() - cap) if cap else 0
-        evicted_idle = 0
-        evicted_forced = 0
-        evict_credits: Dict[str, float] = {}
-        for index, (lock, slab, _stripe) in enumerate(self._slab_state):
-            with lock:
-                now = self._clock()
-                leased = self._lease_outstanding[index]
-                epoch = slab.epoch
-                touch = slab.col_touch
-                doomed: "list[str] | None" = None
-                for key, slot in slab.index.items():
-                    slab.advance_unlocked(slot, now)
-                    # Epoch byte instead of the object backend's decision
-                    # counters: an untouched slot saw no decision since the
-                    # previous sweep.  Freshly inserted slots carry the
-                    # current epoch, so — like the object backend's
-                    # ``activity_at_sweep = -1`` — a bucket always survives
-                    # at least one full sweep interval.
-                    if touch[slot] == epoch or key in leased:
-                        continue
-                    credit = slab.credit_unlocked(slot, now)
-                    if credit >= slab.capacity_unlocked(slot) - _LEASE_EPSILON:
-                        evicted_idle += 1
-                    elif evicted_forced < force_budget:
-                        evicted_forced += 1
-                    else:
-                        continue
-                    evict_credits[key] = credit
-                    if doomed is None:
-                        doomed = []
-                    doomed.append(key)
-                count += len(slab.index)
-                if doomed:
-                    for key in doomed:
-                        slab.evict_unlocked(key)
-                slab.bump_epoch_unlocked()
-        if evict_credits:
-            self._source.checkpoint(evict_credits)   # no lock held
-        if evicted_idle or evicted_forced:
-            with self._control_lock:
-                self._evicted_idle += evicted_idle
-                self._evicted_forced += evicted_forced
-        return count
-
-    def sync_rules(self) -> int:
-        local_keys = self.local_keys()
-        fresh = self._source.get_rules(local_keys)
-        updated = 0
-        revoked: "list[tuple[str, _LeaseRecord]]" = []
-        for key in local_keys:
-            shard = self._shard_of(key)
-            slab = self._slabs[shard]
-            with self._locks[shard]:
-                slot = slab.index.get(key)
-                if slot is None:
-                    continue
-                current = (slab.capacity_unlocked(slot),
-                           slab.refill_rate_unlocked(slot))
-                rule = fresh.get(key)
-                if rule is None:
-                    default = self.config.default_rule
-                    if current != (default.capacity, default.refill_rate):
-                        slab.set_plan_unlocked(slot, self._plans.intern(
-                            float(default.capacity), float(default.refill_rate)))
-                        updated += 1
-                        for record in self._revoke_leases_for_key_locked(
-                                shard, key):
-                            revoked.append((key, record))
-                elif current != (rule.capacity, rule.refill_rate):
-                    slab.set_plan_unlocked(slot, self._plans.intern(
-                        float(rule.capacity), float(rule.refill_rate)))
-                    updated += 1
-                    for record in self._revoke_leases_for_key_locked(
-                            shard, key):
-                        revoked.append((key, record))
-        with self._control_lock:
-            self._syncs += 1
-            self._lease_revoked += len(revoked)
-        if revoked and self.lease_revoke_hook is not None:
-            self.lease_revoke_hook(revoked)       # outside every lock
-        return updated
-
-    def checkpoint(self) -> int:
-        credits: Dict[str, float] = {}
-        for lock, slab, _stripe in self._slab_state:
-            with lock:
-                now = self._clock()
-                for key, slot in slab.index.items():
-                    credits[key] = slab.credit_unlocked(slot, now)
-        self._source.checkpoint(credits)      # DB round trip: no lock held
-        with self._control_lock:
-            self._checkpoints += 1
-        return len(credits)
-
-    # ------------------------------------------------------------------ #
-    # replication / introspection
-    # ------------------------------------------------------------------ #
-
-    def local_keys(self) -> list[str]:
-        keys: list[str] = []
-        for lock, slab, _stripe in self._slab_state:
-            with lock:
-                keys.extend(slab.index.keys())
-        return keys
-
-    def table_size(self) -> int:
-        return sum(len(slab) for slab in self._slabs)
-
-    def bucket_for(self, key: str) -> "Optional[SlabBucketView]":
-        """Direct bucket access (tests and metrics only)."""
-        shard = self._shard_of(key)
-        with self._locks[shard]:
-            if key not in self._slabs[shard].index:
-                return None
-        return SlabBucketView(self, key)
-
-    def snapshot(self) -> list[BucketSnapshot]:
-        snaps: list[BucketSnapshot] = []
-        for index, (lock, slab, _stripe) in enumerate(self._slab_state):
-            with lock:
-                now = self._clock()
-                ledger = self._lease_shards[index]
-                by_key: "dict[str, list[LeaseSnapshot]]" = {}
-                for record in ledger.values():
-                    remaining = record.expiry - now
-                    if remaining <= 0:
-                        continue
-                    by_key.setdefault(record.key, []).append(LeaseSnapshot(
-                        lease_id=record.lease_id, granted=record.granted,
-                        ttl_remaining=remaining, holder=record.holder))
-                for key, slot in slab.index.items():
-                    snaps.append(BucketSnapshot(
-                        key=key, capacity=slab.capacity_unlocked(slot),
-                        refill_rate=slab.refill_rate_unlocked(slot),
-                        credit=slab.credit_unlocked(slot, now),
-                        leases=tuple(by_key.get(key, ()))))
-        return snaps
-
-    def _drop_bucket_locked(self, shard: int, key: str) -> bool:
-        slab = self._slabs[shard]
-        if key not in slab.index:
-            return False
-        slab.evict_unlocked(key)
-        return True
-
-    def _restore_entry_locked(self, shard: int, snap: BucketSnapshot) -> None:
-        slab = self._slabs[shard]
-        slot = slab.index.get(snap.key)
-        plan = self._plans.intern(float(snap.capacity),
-                                  float(snap.refill_rate))
-        if slot is None:
-            slab.insert_unlocked(snap.key, plan, snap.credit)
-        else:
-            slab.set_plan_unlocked(slot, plan)
-            slab.restore_credit_unlocked(slot, snap.credit)
-
-    def table_bytes(self) -> int:
-        """Exact resident bytes of the slab columns, index and plan table."""
         total = self._plans.bytes_resident()
         for lock, slab, _stripe in self._slab_state:
             with lock:

@@ -54,16 +54,19 @@ See ``docs/ANALYSIS.md`` for the rule catalog and pragma escape hatch.
 Relationship to the columnar slab store
 ---------------------------------------
 
-This class is the *reference semantics* for a bucket.  The default table
-backend (``AdmissionConfig.table_backend="slab"``,
-``repro.core.slabstore``) does not hold ``LeakyBucket`` instances at all —
-it packs the same state (credit, last-refill time, plan) into parallel
-columns and re-implements Eqs. 1–2 in flat loops, bit-exactly: the
-admit/deny stream and stored credits must match this class on every
-workload (``tests/core/test_slab_equivalence.py`` enforces it with
-randomized sequences).  When changing refill or consume semantics here,
-change the slab kernels in lock-step — the equivalence suite will catch a
-drift, but only if the new behaviour is covered by a test.
+This class is the *reference semantics* for a bucket.  The admission
+controller's table (``repro.core.slabstore``) does not hold
+``LeakyBucket`` instances at all — it packs the same state (credit,
+last-refill time, plan) into parallel columns and re-implements Eqs. 1–2
+in flat loops, bit-exactly: the admit/deny stream and stored credits must
+match this class on every workload (``tests/core/test_slab_equivalence.py``
+enforces it by driving randomized sequences against a reference model
+built from one ``LeakyBucket`` per key).  The controller itself uses a
+``LeakyBucket`` only as the transient bucket that decides an unknown key
+the default rule does not memorize.  When changing refill or consume
+semantics here, change the slab kernels in lock-step — the equivalence
+suite will catch a drift, but only if the new behaviour is covered by a
+test.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ class LeakyBucket:
 
     __slots__ = ("capacity", "refill_rate", "mode", "_credit", "_last_refill",
                  "_clock", "_lock", "_consumed_total", "_denied_total",
-                 "_continuous", "activity_at_sweep")
+                 "_continuous")
 
     def __init__(
         self,
@@ -141,11 +144,6 @@ class LeakyBucket:
         self._lock = threading.Lock()
         self._consumed_total = 0
         self._denied_total = 0
-        # Decision count stamped by the controller's housekeeping sweep;
-        # an unchanged value at the next sweep marks the bucket idle
-        # (eviction candidate).  -1 = never swept, so a bucket always
-        # survives at least one full sweep interval.
-        self.activity_at_sweep = -1
 
     # ------------------------------------------------------------------ #
     # hot path

@@ -44,14 +44,6 @@ class AdmissionConfig:
     #: larger values implement the paper's "can be further optimized"
     #: future work and are measured by the locking ablation.
     lock_shards: int = 1
-    #: Number of striped decision-counter blocks.  0 (default) allocates
-    #: one stripe per lock shard; counter updates then piggyback on the
-    #: shard lock the decision already holds, keeping the hot path at
-    #: exactly one lock acquisition.  An explicit value below
-    #: ``lock_shards`` shares stripes across shards (cheaper to merge when
-    #: stats are scraped aggressively) at the cost of one extra
-    #: low-contention lock acquisition per decision.
-    stats_stripes: int = 0
     #: Maximum buckets kept across the table shards; 0 = unbounded.  When
     #: the table exceeds the cap, the housekeeping refill pass force-evicts
     #: idle buckets (full-and-idle buckets are already evicted lazily —
@@ -66,12 +58,6 @@ class AdmissionConfig:
     #: asking for more are clamped, so a misconfigured or hostile router
     #: cannot park credit beyond the server's revocation horizon.
     max_lease_ttl: float = 5.0
-    #: Storage backing the local QoS table.  ``"slab"`` (default) packs
-    #: bucket state into columnar arrays (~60 bytes/key, batch-friendly —
-    #: see ``repro.core.slabstore``); ``"object"`` keeps the seed
-    #: dict-of-LeakyBucket layout for A/B comparison and fallback.  Both
-    #: backends produce bit-identical admit/deny streams.
-    table_backend: str = "slab"
 
     def __post_init__(self) -> None:
         if self.refill_interval <= 0:
@@ -80,10 +66,6 @@ class AdmissionConfig:
             raise ConfigurationError("sync and checkpoint intervals must be > 0")
         if self.lock_shards < 1:
             raise ConfigurationError(f"lock_shards must be >= 1, got {self.lock_shards}")
-        if self.stats_stripes < 0:
-            raise ConfigurationError(
-                f"stats_stripes must be >= 0 (0 = one per lock shard), "
-                f"got {self.stats_stripes}")
         if self.max_table_entries < 0:
             raise ConfigurationError(
                 f"max_table_entries must be >= 0 (0 = unbounded), "
@@ -95,10 +77,6 @@ class AdmissionConfig:
         if self.max_lease_ttl <= 0:
             raise ConfigurationError(
                 f"max_lease_ttl must be > 0, got {self.max_lease_ttl}")
-        if self.table_backend not in ("slab", "object"):
-            raise ConfigurationError(
-                f"table_backend must be 'slab' or 'object', "
-                f"got {self.table_backend!r}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,10 +1,10 @@
 """Columnar slab storage for the QoS table (perf: bucket ≈ 60 bytes).
 
-The seed admission table maps each QoS key to a full
-:class:`~repro.core.bucket.LeakyBucket` heap object — a lock, an enum, two
-lifetime counters, a clock reference — several hundred bytes per key and a
-pointer chase per decision.  At the ROADMAP's 10M-key scale that table alone
-is gigabytes.  This module stores the same state *columnar*: one
+Mapping each QoS key to a full :class:`~repro.core.bucket.LeakyBucket` heap
+object — a lock, an enum, two lifetime counters, a clock reference — costs
+several hundred bytes per key and a pointer chase per decision; at a 10M-key
+scale that table alone is gigabytes.  The admission controller's table
+therefore stores the same state *columnar*: one
 :class:`SlabShard` per lock shard holding a ``key -> slot`` dict index plus
 parallel :mod:`array` columns indexed by slot:
 
@@ -39,7 +39,8 @@ shrink but also never grow past the high-water mark of live keys.
 Semantics are bit-for-bit those of :class:`~repro.core.bucket.LeakyBucket`:
 every accessor below replicates the bucket arithmetic operation-for-operation
 (same clamp forms, same epsilon comparisons), which
-``tests/core/test_slab_equivalence.py`` pins with randomized op sequences.
+``tests/core/test_slab_equivalence.py`` pins by driving randomized op
+sequences against a reference model built from one ``LeakyBucket`` per key.
 
 Lock-discipline contract (machine-checked)
 ------------------------------------------
@@ -189,7 +190,7 @@ class SlabShard:
         self.uniform_plan: "Optional[int]" = None
         #: Housekeeping sweep epoch (mod 256); a slot whose ``col_touch``
         #: differs saw no decision since the previous sweep.  The one-byte
-        #: epoch replaces the object store's two 8-byte lifetime counters;
+        #: epoch stands in for a bucket's two 8-byte lifetime counters;
         #: the wrap means a bucket idle for exactly 256 sweeps reads as
         #: active once, delaying its eviction by a single sweep interval.
         self.epoch = 0
@@ -257,8 +258,8 @@ class SlabShard:
         """``LeakyBucket.try_consume_unlocked`` over the columns.
 
         Op-for-op the bucket arithmetic (same clamp comparisons, same
-        admission thresholds) so the two backends admit and deny the same
-        streams bit-for-bit.  ``now`` lets a batch caller reuse one clock
+        admission thresholds) so the slab admits and denies exactly the
+        stream a ``LeakyBucket`` would, bit-for-bit.  ``now`` lets a batch caller reuse one clock
         reading for a whole frame's worth of slots.
         """
         if amount <= 0:
@@ -315,7 +316,7 @@ class SlabShard:
         This is the mixed-plan / per-cost / interval-mode kernel.  The
         hottest shape — unit costs against a shard whose live slots all
         share one plan (``uniform_plan``) — is decided by an even flatter
-        loop inlined in ``SlabAdmissionController.check_batch`` (inside
+        loop inlined in ``AdmissionController.check_batch`` (inside
         the ``with lock:`` block, same ops in the same order) so the
         steady-state path pays no method call or dispatch at all.
 

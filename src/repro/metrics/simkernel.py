@@ -6,9 +6,7 @@ pipeline.  This module keeps the repository's *seed* kernel runnable
 (:class:`SeedSimulation` and friends: per-event list/tuple allocation,
 ``timeout`` built from an ``Event`` plus a lambda, cancelled sleeps left
 as payload-``None`` tombstones) so the optimized kernel's speedup is
-always measured against it on the same machine in the same run, exactly
-like :class:`repro.metrics.hotpath.SeedPathController` does for the
-admission path.
+always measured against it on the same machine in the same run.
 
 Two measurements make up the regression surface
 (``benchmarks/test_simkernel_regression.py`` turns them into the gate and

@@ -368,7 +368,6 @@ def _serve_rpc(daemon: ShardWorkerDaemon, what: str, arg):
             "fanin_frames": daemon.fanin_frames,
             "table_size": daemon.controller.table_size(),
             "table_bytes": daemon.controller.table_bytes(),
-            "table_backend": spec.server.admission.table_backend,
         }
         payload.update(daemon.controller.stats_snapshot())
         payload["decisions"] = payload["admitted"] + payload["denied"]

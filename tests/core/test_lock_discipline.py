@@ -4,13 +4,9 @@ The ISSUE-1 acceptance criterion: :meth:`AdmissionController.check`
 acquires exactly **one** lock per decision on the hit path, and the miss
 path no longer nests any lock acquisition inside the shard lock (the seed
 nested the bucket lock and a global stats lock there).  These tests
-instrument every lock the controller and its buckets can touch and count
-real acquisitions.
-
-Both table backends are covered: the object store (dict of LeakyBucket)
-and the columnar slab store, which must honour the same discipline — plus
-the frame-at-a-time batch path, which owes exactly one shard-lock
-acquisition per distinct shard per frame.
+instrument every lock the controller can touch and count real
+acquisitions — including the frame-at-a-time batch path, which owes
+exactly one shard-lock acquisition per distinct shard per frame.
 """
 
 from __future__ import annotations
@@ -27,9 +23,6 @@ from repro.core.rules import QoSRule
 # Captured before any monkeypatching so instrumented locks can build on
 # the real primitive.
 _REAL_LOCK = threading.Lock
-
-BACKENDS = ["object", "slab"]
-
 
 class CountingLock:
     """A ``threading.Lock`` lookalike that records acquire/release events."""
@@ -61,7 +54,7 @@ class CountingLock:
 
 class UnlockedRuleSource:
     """A rule source with no lock of its own, so every counted acquisition
-    in these tests belongs to the controller or a bucket."""
+    in these tests belongs to the controller."""
 
     def __init__(self, rules):
         self._rules = dict(rules)
@@ -77,29 +70,17 @@ class UnlockedRuleSource:
 
 
 def instrument(controller: AdmissionController, events: list) -> None:
-    """Wrap every lock the controller owns (and its buckets' locks)."""
+    """Wrap every lock the controller owns."""
     controller._locks = [CountingLock(events, f"shard{i}")
                          for i in range(len(controller._locks))]
-    for stripe in controller._stripes:
-        stripe.lock = CountingLock(events, "stripe")
     controller._control_lock = CountingLock(events, "control")
-    n_stripes = len(controller._stripes)
-    controller._shard_state = [
-        (controller._locks[i], controller._shards[i],
-         controller._stripes[i % n_stripes])
-        for i in range(len(controller._shards))]
-    if hasattr(controller, "_slab_state"):
-        controller._slab_state = [
-            (controller._locks[i], controller._slabs[i],
-             controller._stripes[i % n_stripes])
-            for i in range(len(controller._slabs))]
-        controller._slab_frame_state = [
-            (lock, slab, slab.consume_frame_unlocked, stripe)
-            for lock, slab, stripe in controller._slab_state]
-        controller._plans._lock = CountingLock(events, "plan")
-    for table in controller._shards:
-        for bucket in table.values():
-            bucket._lock = CountingLock(events, "bucket")
+    controller._plans._lock = CountingLock(events, "plan")
+    controller._slab_state = [
+        (lock, slab, stripe) for lock, (_, slab, stripe)
+        in zip(controller._locks, controller._slab_state)]
+    controller._slab_frame_state = [
+        (lock, slab, slab.consume_frame_unlocked, stripe)
+        for lock, slab, stripe in controller._slab_state]
 
 
 def acquires(events: list) -> list:
@@ -114,21 +95,19 @@ def max_nesting(events: list) -> int:
     return peak
 
 
-def make_controller(backend: str = "object",
-                    **config_kwargs) -> AdmissionController:
+def make_controller(**config_kwargs) -> AdmissionController:
     source = UnlockedRuleSource(
         {f"k{i}": QoSRule(f"k{i}", refill_rate=100.0, capacity=100.0)
          for i in range(16)})
     return AdmissionController(
-        source, AdmissionConfig(table_backend=backend, **config_kwargs),
+        source, AdmissionConfig(**config_kwargs),
         clock=ManualClock())
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestFusedHitPath:
     @pytest.mark.parametrize("lock_shards", [1, 8])
-    def test_exactly_one_lock_per_decision(self, backend, lock_shards):
-        controller = make_controller(backend, lock_shards=lock_shards)
+    def test_exactly_one_lock_per_decision(self, lock_shards):
+        controller = make_controller(lock_shards=lock_shards)
         for i in range(16):
             controller.check(f"k{i}")       # warm: all keys materialized
         events: list = []
@@ -141,8 +120,8 @@ class TestFusedHitPath:
         assert all(label.startswith("shard") for label in labels)
         assert max_nesting(events) == 1
 
-    def test_weighted_cost_also_single_lock(self, backend):
-        controller = make_controller(backend, lock_shards=4)
+    def test_weighted_cost_also_single_lock(self):
+        controller = make_controller(lock_shards=4)
         controller.check("k0")
         events: list = []
         instrument(controller, events)
@@ -150,19 +129,18 @@ class TestFusedHitPath:
         assert len(acquires(events)) == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestMissPath:
-    def test_miss_path_no_nested_acquisition(self, backend, monkeypatch):
+    def test_miss_path_no_nested_acquisition(self, monkeypatch):
         """The lazy-materialization path holds only the shard lock.
 
-        ``threading.Lock`` is patched globally so even the freshly created
-        bucket's internal lock would be counted if the fused path touched
-        it; the old code acquired both the bucket lock and a global stats
-        lock while holding the shard lock.  ``k0`` is warmed first so the
-        slab backend has interned the shared plan — a miss for a key on an
-        already-seen plan never touches the plan-table lock.
+        ``threading.Lock`` is patched globally so any lock created during
+        the miss would be counted too; the old code acquired both a bucket
+        lock and a global stats lock while holding the shard lock.  ``k0``
+        is warmed first so the plan table has interned the shared plan — a
+        miss for a key on an already-seen plan never touches the
+        plan-table lock.
         """
-        controller = make_controller(backend, lock_shards=4)
+        controller = make_controller(lock_shards=4)
         controller.check("k0")              # interns the (100, 100) plan
         events: list = []
         instrument(controller, events)
@@ -174,8 +152,8 @@ class TestMissPath:
             f"miss path acquired {labels}, expected only its shard lock")
         assert max_nesting(events) == 1
 
-    def test_unknown_key_miss_path_single_lock(self, backend, monkeypatch):
-        controller = make_controller(backend, lock_shards=4)
+    def test_unknown_key_miss_path_single_lock(self, monkeypatch):
+        controller = make_controller(lock_shards=4)
         controller.check("warm-unknown")    # interns the default-rule plan
         events: list = []
         instrument(controller, events)
@@ -186,40 +164,11 @@ class TestMissPath:
         assert max_nesting(events) == 1
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-class TestSharedStripes:
-    def test_striped_mode_two_flat_acquisitions(self, backend):
-        """``stats_stripes < lock_shards``: shard lock then stripe lock,
-        strictly sequential, never nested."""
-        controller = make_controller(backend, lock_shards=8, stats_stripes=2)
-        for i in range(16):
-            controller.check(f"k{i}")
-        events: list = []
-        instrument(controller, events)
-        controller.check("k3")
-        labels = acquires(events)
-        assert len(labels) == 2
-        assert labels[0].startswith("shard")
-        assert labels[1] == "stripe"
-        assert max_nesting(events) == 1     # released before the next
-
-    def test_striped_mode_counters_still_exact(self, backend):
-        controller = make_controller(backend, lock_shards=8, stats_stripes=2)
-        for i in range(16):
-            controller.check(f"k{i}")
-            controller.check(f"k{i}")
-        stats = controller.stats
-        assert stats.decisions == 32
-        assert stats.rule_misses == 16
-        assert stats.rule_hits == 16
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestBatchPath:
-    def test_one_lock_per_shard_per_frame(self, backend):
+    def test_one_lock_per_shard_per_frame(self):
         """``check_batch`` owes one shard-lock take per distinct shard per
         frame — that is the whole point of the frame-at-a-time path."""
-        controller = make_controller(backend, lock_shards=4)
+        controller = make_controller(lock_shards=4)
         keys = [f"k{i}" for i in range(16)]
         for key in keys:
             controller.check(key)           # warm: all keys materialized
@@ -234,8 +183,8 @@ class TestBatchPath:
         assert max_nesting(events) == 1
         assert verdicts == (1 << len(keys)) - 1     # all admitted
 
-    def test_single_shard_frame_single_lock(self, backend):
-        controller = make_controller(backend, lock_shards=1)
+    def test_single_shard_frame_single_lock(self):
+        controller = make_controller(lock_shards=1)
         keys = [f"k{i}" for i in range(8)]
         for key in keys:
             controller.check(key)
@@ -247,10 +196,10 @@ class TestBatchPath:
 
 class TestSlabPlanInterning:
     def test_first_plan_sighting_nests_plan_lock_once(self):
-        """The slab's one sanctioned nesting: shard lock → plan-table lock,
+        """The table's one sanctioned nesting: shard lock → plan-table lock,
         taken only when a (capacity, rate) pair is seen for the first
         time.  Every later miss on the same plan is plan-lock free."""
-        controller = make_controller("slab", lock_shards=4)
+        controller = make_controller(lock_shards=4)
         events: list = []
         instrument(controller, events)
         controller.check("k1")              # plan (100, 100) first sighting
@@ -260,26 +209,3 @@ class TestSlabPlanInterning:
         controller.check("k2")              # same plan: dict hit, no lock
         assert "plan" not in acquires(events)
         assert max_nesting(events) == 1
-
-
-class TestSeedPathContrast:
-    def test_seed_path_acquired_three_locks(self):
-        """The comparison baseline really does pay 3 acquisitions —
-        documents what the fusion removed."""
-        from repro.metrics.hotpath import SeedPathController
-
-        source = UnlockedRuleSource(
-            {"k": QoSRule("k", refill_rate=100.0, capacity=100.0)})
-        controller = SeedPathController(
-            source, AdmissionConfig(lock_shards=4), clock=ManualClock())
-        controller.check("k")
-        events: list = []
-        instrument(controller, events)
-        controller._seed_stats_lock = CountingLock(events, "stats")
-        controller.check("k")
-        labels = acquires(events)
-        assert len(labels) == 3
-        assert labels[0].startswith("shard")
-        assert labels[1] == "bucket"        # nested inside the shard lock
-        assert labels[2] == "stats"
-        assert max_nesting(events) == 2

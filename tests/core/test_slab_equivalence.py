@@ -1,30 +1,37 @@
-"""Property-style equivalence: slab store ≡ seed object store.
+"""Property-style equivalence: slab table ≡ one ``LeakyBucket`` per key.
 
 Randomized op sequences — per-key checks, whole batch frames, housekeeping
 sweeps (with eviction pressure), rule churn + sync, checkpoints, credit
-leases and snapshot/restore — are driven in lockstep against an
-object-backed and a slab-backed controller sharing one injected manual
-clock.  Every operation's observable result must be identical: the
-admit/deny stream bit-for-bit, lease grants to the credit, and the full
-table state (keys, credits, rules, stats) at every probe point.
+leases and snapshot/restore — are driven in lockstep against the
+slab-backed :class:`AdmissionController` and :class:`ReferenceTable`, a
+test-local model built from the reference semantics: one
+:class:`~repro.core.bucket.LeakyBucket` per key, a plain lease-ledger
+dict, the default-rule fallback, and idleness judged from each bucket's
+decision counters.  Both share one injected manual clock.  Every
+operation's observable result must be identical: the admit/deny stream
+bit-for-bit, lease grants to the credit, and the full table state (keys,
+credits, rules, stats) at every probe point.
 
-The snapshot/restore op *swaps* backends — the object controller is
-rebuilt from the slab's snapshot and vice versa — so the shared
-``BucketSnapshot`` format is exercised in both directions mid-sequence.
+The snapshot op compares both snapshots, then restores each side from its
+own snapshot — either into a fresh controller (a replacement node) or
+over the live table — so the ``BucketSnapshot`` format and both restore
+paths are exercised mid-sequence.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.core.admission import (
     AdmissionController,
+    BucketSnapshot,
     InMemoryRuleSource,
-    SlabAdmissionController,
+    LeaseSnapshot,
 )
-from repro.core.bucket import RefillMode
+from repro.core.bucket import LeakyBucket, RefillMode
 from repro.core.clock import ManualClock
 from repro.core.config import AdmissionConfig
 from repro.core.rules import DefaultRulePolicy, QoSRule
@@ -34,9 +41,247 @@ from repro.core.rules import DefaultRulePolicy, QoSRule
 #: assertion leaves room for a platform's fused-multiply-add quirks.
 TOL = 1e-12
 
+#: Mirrors the controller's lease-accounting epsilon.
+EPS = 1e-9
+
 RULED_KEYS = [f"user{i}" for i in range(18)]
 UNKNOWN_KEYS = [f"guest{i}" for i in range(6)]
 ALL_KEYS = RULED_KEYS + UNKNOWN_KEYS
+
+
+class ReferenceTable:
+    """The local QoS table as one :class:`LeakyBucket` per key.
+
+    Keys live in per-shard dicts picked by ``hash(key) % lock_shards``,
+    like the controller's shards, because the sweep spends its forced-
+    eviction budget in shard-then-insertion order.  A bucket is idle when
+    its decision count did not move since the previous sweep.  Leases are
+    a plain ``lease_id -> (key, granted, expiry)`` dict.
+    """
+
+    def __init__(self, source, config: AdmissionConfig, clock):
+        self.source = source
+        self.config = config
+        self.clock = clock
+        self.shards: list[dict[str, LeakyBucket]] = [
+            {} for _ in range(config.lock_shards)]
+        self.swept: dict[str, int] = {}     # decision count at last sweep
+        self.leases: dict[int, tuple[str, float, float]] = {}
+        self.next_lease_id = 1
+        self.stats: Counter = Counter()
+
+    def _shard(self, key: str) -> dict[str, LeakyBucket]:
+        return self.shards[hash(key) % len(self.shards)]
+
+    def _bucket(self, key: str, decision: bool) -> LeakyBucket:
+        shard = self._shard(key)
+        bucket = shard.get(key)
+        if bucket is None:
+            rule = self.source.get_rule(key)
+            unknown = rule is None
+            if unknown:
+                rule = self.config.default_rule.rule_for(key)
+            bucket = LeakyBucket(
+                rule.capacity, rule.refill_rate,
+                initial_credit=rule.initial_credit(),
+                mode=self.config.refill_mode, clock=self.clock)
+            if not unknown or self.config.default_rule.memorize_unknown_keys:
+                shard[key] = bucket
+            if decision:
+                self.stats["rule_misses"] += 1
+                self.stats["unknown_keys"] += unknown
+        return bucket
+
+    def _outstanding(self, key: str) -> float:
+        return sum(g for k, g, _ in self.leases.values() if k == key)
+
+    # -- decisions ------------------------------------------------------ #
+
+    def check(self, key: str, cost: float = 1.0, now=None) -> bool:
+        admitted = self._bucket(key, True).try_consume_unlocked(cost, now=now)
+        self.stats["admitted" if admitted else "denied"] += 1
+        return admitted
+
+    def check_batch(self, keys, costs=None) -> int:
+        now = self.clock()
+        verdicts = 0
+        for pos, key in enumerate(keys):
+            if self.check(key, 1.0 if costs is None else costs[pos], now):
+                verdicts |= 1 << pos
+        return verdicts
+
+    # -- leases --------------------------------------------------------- #
+
+    def lease_grant(self, key: str, want: float, ttl: float):
+        ttl = min(ttl, self.config.max_lease_ttl)
+        rule = self.source.get_rule(key)
+        fraction = self.config.max_lease_fraction
+        if rule is not None and rule.max_lease_fraction is not None:
+            fraction = rule.max_lease_fraction
+        bucket = self._bucket(key, False)
+        ask = min(want, fraction * bucket.capacity - self._outstanding(key))
+        granted = bucket.lease_debit_unlocked(ask) if ask > EPS else 0.0
+        if granted <= 0.0:
+            self.stats["lease_refusals"] += 1
+            return (0, 0.0, 0.0)
+        lease_id = self.next_lease_id
+        self.next_lease_id += 1
+        self.leases[lease_id] = (key, granted, self.clock() + ttl)
+        self.stats["lease_grants"] += 1
+        self.stats["lease_granted_credits"] += granted
+        return (lease_id, granted, ttl)
+
+    def lease_return(self, key: str, lease_id: int, credits: float) -> float:
+        record = self.leases.get(lease_id)
+        if record is None or record[0] != key:
+            return 0.0
+        del self.leases[lease_id]
+        accepted = 0.0
+        bucket = self._shard(key).get(key)
+        if credits > 0.0 and bucket is not None:
+            accepted = bucket.lease_return_unlocked(min(credits, record[1]))
+        self.stats["lease_returns"] += 1
+        self.stats["lease_returned_credits"] += accepted
+        return accepted
+
+    def lease_expire(self) -> int:
+        now = self.clock()
+        dead = [i for i, (_, _, expiry) in self.leases.items()
+                if expiry <= now]
+        for lease_id in dead:
+            del self.leases[lease_id]
+        self.stats["lease_expired"] += len(dead)
+        return len(dead)
+
+    # -- housekeeping --------------------------------------------------- #
+
+    def refill_all(self) -> int:
+        cap = self.config.max_table_entries
+        budget = max(0, self.table_size() - cap) if cap else 0
+        leased = {key for key, _, _ in self.leases.values()}
+        now = self.clock()
+        count = forced = 0
+        evicted: dict[str, float] = {}
+        for shard in self.shards:
+            count += len(shard)
+            for key, bucket in list(shard.items()):
+                bucket.advance_unlocked(now)
+                activity = bucket.consumed_total + bucket.denied_total
+                idle = self.swept.get(key) == activity
+                self.swept[key] = activity
+                if not idle or key in leased:
+                    continue
+                credit = bucket.credit_unlocked(now)
+                if credit >= bucket.capacity - EPS:
+                    self.stats["evicted_idle"] += 1
+                elif forced < budget:
+                    forced += 1
+                else:
+                    continue
+                evicted[key] = credit
+                del shard[key]
+                del self.swept[key]
+        self.stats["evicted_forced"] += forced
+        if evicted:
+            self.source.checkpoint(evicted)
+        return count
+
+    def sync_rules(self) -> int:
+        keys = self.local_keys()
+        fresh = self.source.get_rules(keys)
+        updated = 0
+        for key in keys:
+            bucket = self._shard(key)[key]
+            rule = fresh.get(key) or self.config.default_rule
+            if (bucket.capacity, bucket.refill_rate) != (rule.capacity,
+                                                         rule.refill_rate):
+                bucket.update_rule_unlocked(rule.capacity, rule.refill_rate)
+                updated += 1
+                doomed = [i for i, (k, _, _) in self.leases.items()
+                          if k == key]
+                for lease_id in doomed:
+                    del self.leases[lease_id]
+                self.stats["lease_revoked"] += len(doomed)
+        self.stats["syncs"] += 1
+        return updated
+
+    def checkpoint(self) -> int:
+        now = self.clock()
+        credits = {key: bucket.credit_unlocked(now)
+                   for shard in self.shards for key, bucket in shard.items()}
+        self.source.checkpoint(credits)
+        self.stats["checkpoints"] += 1
+        return len(credits)
+
+    # -- replication / introspection ------------------------------------ #
+
+    def local_keys(self) -> list[str]:
+        return [key for shard in self.shards for key in shard]
+
+    def table_size(self) -> int:
+        return sum(len(shard) for shard in self.shards)
+
+    def bucket_for(self, key: str) -> LeakyBucket:
+        return self._shard(key)[key]
+
+    def snapshot(self) -> list[BucketSnapshot]:
+        now = self.clock()
+        return [BucketSnapshot(
+            key=key, capacity=bucket.capacity,
+            refill_rate=bucket.refill_rate,
+            credit=bucket.credit_unlocked(now),
+            leases=tuple(
+                LeaseSnapshot(lease_id=i, granted=g, ttl_remaining=e - now)
+                for i, (k, g, e) in self.leases.items()
+                if k == key and e - now > 0))
+            for shard in self.shards for key, bucket in shard.items()]
+
+    def restore(self, snapshots) -> int:
+        now = self.clock()
+        max_lease_id = 0
+        for snap in snapshots:
+            shard = self._shard(snap.key)
+            bucket = shard.get(snap.key)
+            if bucket is None:
+                shard[snap.key] = LeakyBucket(
+                    snap.capacity, snap.refill_rate,
+                    initial_credit=snap.credit,
+                    mode=self.config.refill_mode, clock=self.clock)
+            else:
+                bucket.update_rule_unlocked(snap.capacity, snap.refill_rate)
+                bucket.restore_credit_unlocked(snap.credit)
+            for lease in snap.leases:
+                if lease.lease_id in self.leases or lease.ttl_remaining <= 0:
+                    continue
+                self.leases[lease.lease_id] = (
+                    snap.key, lease.granted, now + lease.ttl_remaining)
+                max_lease_id = max(max_lease_id, lease.lease_id)
+        self.next_lease_id = max(self.next_lease_id, max_lease_id + 1)
+        return len(snapshots)
+
+    def stats_snapshot(self) -> dict:
+        s = self.stats
+        return {
+            "admitted": s["admitted"],
+            "denied": s["denied"],
+            "rule_hits": s["admitted"] + s["denied"] - s["rule_misses"],
+            "rule_misses": s["rule_misses"],
+            "unknown_keys": s["unknown_keys"],
+            "syncs": s["syncs"],
+            "checkpoints": s["checkpoints"],
+            "lease_grants": s["lease_grants"],
+            "lease_refusals": s["lease_refusals"],
+            "lease_granted_credits": s["lease_granted_credits"],
+            "lease_returns": s["lease_returns"],
+            "lease_returned_credits": s["lease_returned_credits"],
+            "lease_expired": s["lease_expired"],
+            "lease_revoked": s["lease_revoked"],
+            "leases_active": len(self.leases),
+            "lease_outstanding_credits": sum(
+                g for _, g, _ in self.leases.values()),
+            "evicted_idle": s["evicted_idle"],
+            "evicted_forced": s["evicted_forced"],
+        }
 
 
 def make_rules(rng: random.Random) -> dict[str, QoSRule]:
@@ -51,59 +296,74 @@ def make_rules(rng: random.Random) -> dict[str, QoSRule]:
 
 def make_pair(mode: RefillMode, shards: int, rng: random.Random,
               max_entries: int = 0):
-    """An (object, slab) controller pair over identical rule universes."""
+    """A (controller, reference) pair over identical rule universes."""
     clock = ManualClock()
     rules = make_rules(rng)
     policy = DefaultRulePolicy(refill_rate=1.0, capacity=2.0,
                                memorize_unknown_keys=True)
-    pair = []
-    for backend in ("object", "slab"):
-        config = AdmissionConfig(
-            table_backend=backend, refill_mode=mode, lock_shards=shards,
-            default_rule=policy, max_table_entries=max_entries)
-        pair.append(AdmissionController(
-            InMemoryRuleSource(dict(rules)), config, clock=clock))
-    obj, slab = pair
-    assert type(obj) is AdmissionController
-    assert type(slab) is SlabAdmissionController
-    return obj, slab, clock
+    config = AdmissionConfig(
+        refill_mode=mode, lock_shards=shards, default_rule=policy,
+        max_table_entries=max_entries)
+    ctl = AdmissionController(
+        InMemoryRuleSource(dict(rules)), config, clock=clock)
+    ref = ReferenceTable(InMemoryRuleSource(dict(rules)), config, clock)
+    return ctl, ref, clock
 
 
-def assert_same_state(obj, slab):
-    assert obj.table_size() == slab.table_size()
-    assert sorted(obj.local_keys()) == sorted(slab.local_keys())
-    for key in obj.local_keys():
-        ob = obj.bucket_for(key)
-        sb = slab.bucket_for(key)
-        assert sb is not None, f"{key} missing from slab table"
-        assert ob.capacity == sb.capacity
-        assert ob.refill_rate == sb.refill_rate
-        assert ob.peek_credit() == pytest.approx(sb.peek_credit(), abs=TOL)
-    assert obj.stats_snapshot() == pytest.approx(slab.stats_snapshot())
+def assert_same_snapshots(got, want):
+    assert [s.key for s in got] == [s.key for s in want]
+    for snap, twin in zip(got, want):
+        assert snap.capacity == twin.capacity
+        assert snap.refill_rate == twin.refill_rate
+        assert snap.credit == pytest.approx(twin.credit, abs=TOL)
+        assert [(lease.lease_id, lease.holder) for lease in snap.leases] == \
+            [(lease.lease_id, lease.holder) for lease in twin.leases]
+        for lease, other in zip(snap.leases, twin.leases):
+            assert lease.granted == pytest.approx(other.granted, abs=TOL)
+            assert lease.ttl_remaining == pytest.approx(
+                other.ttl_remaining, abs=TOL)
 
 
-def drive(obj, slab, clock, rng: random.Random, ops: int):
-    """Apply ``ops`` random operations in lockstep; compare along the way."""
+def assert_same_state(ctl, ref):
+    assert ctl.table_size() == ref.table_size()
+    assert ctl.local_keys() == ref.local_keys()
+    for key in ref.local_keys():
+        view = ctl.bucket_for(key)
+        bucket = ref.bucket_for(key)
+        assert view is not None, f"{key} missing from the slab table"
+        assert view.capacity == bucket.capacity
+        assert view.refill_rate == bucket.refill_rate
+        assert view.peek_credit() == pytest.approx(bucket.peek_credit(),
+                                                   abs=TOL)
+    assert ctl.stats_snapshot() == pytest.approx(ref.stats_snapshot())
+
+
+def drive(ctl, ref, clock, rng: random.Random, ops: int):
+    """Apply ``ops`` random operations in lockstep; compare along the way.
+
+    Returns the final ``(controller, reference)`` pair, which a snapshot
+    op may have replaced with freshly restored instances.
+    """
     live_leases: list[tuple[str, int, float]] = []
     for step in range(ops):
         roll = rng.random()
         if roll < 0.45:                                   # per-key check
             key = rng.choice(ALL_KEYS)
             cost = rng.choice([1.0, 1.0, 1.0, 2.5, 0.25])
-            assert obj.check(key, cost) == slab.check(key, cost), (
+            assert ctl.check(key, cost) == ref.check(key, cost), (
                 f"step {step}: check({key!r}, {cost}) diverged")
         elif roll < 0.60:                                 # whole batch frame
             frame = [rng.choice(ALL_KEYS)
                      for _ in range(rng.randint(1, 64))]
             costs = ([rng.choice([1.0, 2.0, 0.5]) for _ in frame]
                      if rng.random() < 0.5 else None)
-            assert obj.check_batch(frame, costs) == \
-                slab.check_batch(frame, costs), (
+            assert ctl.check_batch(frame, costs) == \
+                ref.check_batch(frame, costs), (
                 f"step {step}: check_batch diverged on {frame}")
         elif roll < 0.72:                                 # time passes
             clock.advance(rng.uniform(0.0, 2.0))
         elif roll < 0.80:                                 # housekeeping sweep
-            assert obj.refill_all() == slab.refill_all()
+            assert ctl.refill_all() == ref.refill_all()
         elif roll < 0.86:                                 # rule churn + sync
             key = rng.choice(RULED_KEYS)
             # Draw once, apply to both sources, so the same pseudo-random
@@ -111,54 +371,58 @@ def drive(obj, slab, clock, rng: random.Random, ops: int):
             new_rule = (None if rng.random() < 0.3 else QoSRule(
                 key=key, refill_rate=rng.choice([0.0, 1.0, 50.0]),
                 capacity=rng.choice([0.0, 5.0, 20.0])))
-            for controller in (obj, slab):
+            for source in (ctl._source, ref.source):
                 if new_rule is None:
-                    controller._source.delete_rule(key)
+                    source.delete_rule(key)
                 else:
-                    controller._source.put_rule(new_rule)
-            assert obj.sync_rules() == slab.sync_rules()
+                    source.put_rule(new_rule)
+            assert ctl.sync_rules() == ref.sync_rules()
         elif roll < 0.90:                                 # checkpoint
-            assert obj.checkpoint() == slab.checkpoint()
+            assert ctl.checkpoint() == ref.checkpoint()
         elif roll < 0.96:                                 # credit leases
             key = rng.choice(ALL_KEYS)
             if live_leases and rng.random() < 0.5:
                 key, lease_id, granted = live_leases.pop()
                 remainder = rng.uniform(0.0, granted)
-                assert obj.lease_return(key, lease_id, remainder) == \
-                    pytest.approx(slab.lease_return(key, lease_id, remainder),
+                assert ctl.lease_return(key, lease_id, remainder) == \
+                    pytest.approx(ref.lease_return(key, lease_id, remainder),
                                   abs=TOL)
             else:
+                if live_leases and rng.random() < 0.5:
+                    # Stack a grant on a leased key so the headroom left
+                    # by outstanding grants is what clamps it.
+                    key = rng.choice(live_leases)[0]
                 want = rng.uniform(0.1, 5.0)
                 ttl = rng.uniform(0.05, 1.0)
-                og = obj.lease_grant(key, want, ttl)
-                sg = slab.lease_grant(key, want, ttl)
-                assert og[0] == sg[0]
-                assert og[1] == pytest.approx(sg[1], abs=TOL)
-                assert og[2] == pytest.approx(sg[2], abs=TOL)
-                if og[0]:
-                    live_leases.append((key, og[0], og[1]))
+                got = ctl.lease_grant(key, want, ttl)
+                expect = ref.lease_grant(key, want, ttl)
+                assert got[0] == expect[0]
+                assert got[1] == pytest.approx(expect[1], abs=TOL)
+                assert got[2] == pytest.approx(expect[2], abs=TOL)
+                if got[0]:
+                    live_leases.append((key, got[0], got[1]))
             if rng.random() < 0.3:
                 clock.advance(rng.uniform(0.0, 1.5))
-                assert obj.lease_expire() == slab.lease_expire()
+                assert ctl.lease_expire() == ref.lease_expire()
                 live_leases.clear()
-        else:                                             # snapshot swap
-            obj_snaps = obj.snapshot()
-            slab_snaps = slab.snapshot()
-            assert sorted(s.key for s in obj_snaps) == \
-                sorted(s.key for s in slab_snaps)
-            by_key = {s.key: s for s in slab_snaps}
-            for snap in obj_snaps:
-                twin = by_key[snap.key]
-                assert snap.capacity == twin.capacity
-                assert snap.refill_rate == twin.refill_rate
-                assert snap.credit == pytest.approx(twin.credit, abs=TOL)
-            # Cross-restore: each backend is reseeded from the *other's*
-            # snapshot — the replication format must be backend-neutral.
-            assert obj.restore(slab_snaps) == len(slab_snaps)
-            assert slab.restore(obj_snaps) == len(obj_snaps)
+        else:                                             # snapshot/restore
+            snaps = ctl.snapshot()
+            ref_snaps = ref.snapshot()
+            assert_same_snapshots(snaps, ref_snaps)
+            if rng.random() < 0.5:
+                # Replacement node: a fresh controller on the same rule
+                # source, seeded from the snapshot alone (counters and
+                # expired-but-unswept leases do not travel).
+                ctl = AdmissionController(ctl._source, ctl.config,
+                                          clock=clock)
+                ref = ReferenceTable(ref.source, ref.config, clock)
+            assert ctl.restore(snaps) == len(snaps)
+            assert ref.restore(ref_snaps) == len(ref_snaps)
+            assert_same_state(ctl, ref)
         if step % 25 == 24:
-            assert_same_state(obj, slab)
-    assert_same_state(obj, slab)
+            assert_same_state(ctl, ref)
+    assert_same_state(ctl, ref)
+    return ctl, ref
 
 
 @pytest.mark.parametrize("mode", [RefillMode.CONTINUOUS, RefillMode.INTERVAL])
@@ -166,24 +430,22 @@ def drive(obj, slab, clock, rng: random.Random, ops: int):
 @pytest.mark.parametrize("seed", [7, 19, 404])
 def test_slab_equivalent_to_object_store(mode, shards, seed):
     rng = random.Random(seed)
-    obj, slab, clock = make_pair(mode, shards, rng)
-    drive(obj, slab, clock, rng, ops=300)
+    ctl, ref, clock = make_pair(mode, shards, rng)
+    drive(ctl, ref, clock, rng, ops=300)
 
 
 @pytest.mark.parametrize("mode", [RefillMode.CONTINUOUS, RefillMode.INTERVAL])
 @pytest.mark.parametrize("seed", [11, 23])
 def test_slab_equivalent_under_eviction_pressure(mode, seed):
     """A tight ``max_table_entries`` cap forces the idle/forced eviction
-    paths on both backends; eviction choices must match exactly (the
-    slab's epoch byte must reproduce the object store's decision-counter
-    idleness rule)."""
+    paths; eviction choices must match exactly (the slab's epoch byte must
+    reproduce the reference's decision-counter idleness rule)."""
     rng = random.Random(seed)
-    obj, slab, clock = make_pair(mode, 3, rng, max_entries=10)
-    drive(obj, slab, clock, rng, ops=300)
-    stats_o = obj.stats_snapshot()
-    stats_s = slab.stats_snapshot()
-    assert stats_o["evicted_idle"] == stats_s["evicted_idle"]
-    assert stats_o["evicted_forced"] == stats_s["evicted_forced"]
+    ctl, ref, clock = make_pair(mode, 3, rng, max_entries=10)
+    ctl, ref = drive(ctl, ref, clock, rng, ops=300)
+    stats = ctl.stats_snapshot()
+    assert stats["evicted_idle"] == ref.stats["evicted_idle"]
+    assert stats["evicted_forced"] == ref.stats["evicted_forced"]
 
 
 def test_batch_verdicts_match_sequential_checks_under_frozen_clock():
@@ -191,10 +453,10 @@ def test_batch_verdicts_match_sequential_checks_under_frozen_clock():
     the same sequence of per-key checks would (repeated keys drain their
     bucket inside the frame)."""
     rng = random.Random(5)
-    obj, slab, _clock = make_pair(RefillMode.CONTINUOUS, 4, rng)
+    ctl, ref, _clock = make_pair(RefillMode.CONTINUOUS, 4, rng)
     frame = [rng.choice(ALL_KEYS) for _ in range(96)]
     expected = 0
     for pos, key in enumerate(frame):
-        if obj.check(key):
+        if ref.check(key):
             expected |= 1 << pos
-    assert slab.check_batch(frame) == expected
+    assert ctl.check_batch(frame) == expected

@@ -5,8 +5,8 @@ the bench gate (`benchmarks/test_reshard_regression.py`) exercise the
 plane end to end; this file pins the pieces in isolation: the versioned
 :class:`TopologyMap`, the server-side :class:`ReshardState` transfer
 window (freeze, chunk dedup, epoch idempotence, COMMIT purge), the
-controller's :meth:`drop_buckets` on both table backends, and the
-router-side lease drop for moved keys.
+controller's :meth:`drop_buckets`, and the router-side lease drop for
+moved keys.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from repro.core.admission import (
     AdmissionController,
     BucketSnapshot,
     InMemoryRuleSource,
-    LeaseSnapshot,
-    SlabAdmissionController,
 )
 from repro.core.config import AdmissionConfig
 from repro.core.errors import ConfigurationError
@@ -156,20 +154,18 @@ class TestReshardState:
         assert state.keys_restored == 2
 
 
-@pytest.mark.parametrize("backend", ["object", "slab"])
 class TestDropBuckets:
-    def controller(self, backend):
+    def controller(self):
         keys = [f"drop:{i}" for i in range(8)]
         rules = {k: QoSRule(k, refill_rate=0.0, capacity=50.0) for k in keys}
-        cls = (SlabAdmissionController if backend == "slab"
-               else AdmissionController)
-        controller = cls(InMemoryRuleSource(rules), AdmissionConfig())
+        controller = AdmissionController(InMemoryRuleSource(rules),
+                                         AdmissionConfig())
         for key in keys:
             assert controller.check(key)
         return controller, keys
 
-    def test_drop_removes_buckets_and_reports_count(self, backend):
-        controller, keys = self.controller(backend)
+    def test_drop_removes_buckets_and_reports_count(self):
+        controller, keys = self.controller()
         assert controller.drop_buckets(keys[:3]) == 3
         assert controller.table_size() == len(keys) - 3
         assert sorted(controller.local_keys()) == sorted(keys[3:])
@@ -177,8 +173,8 @@ class TestDropBuckets:
         assert controller.drop_buckets(keys[:3] + ["never-seen"]) == 0
 
     def test_drop_discards_the_local_lease_ledger_without_recrediting(
-            self, backend):
-        controller, keys = self.controller(backend)
+            self):
+        controller, keys = self.controller()
         key = keys[0]
         lease_id, granted, ttl = controller.lease_grant(
             key, want=10.0, ttl=5.0, holder=("127.0.0.1", 4242))
