@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint wire-spec verify bench bench-e2e bench-e2e-smoke bench-simkernel bench-wirepath bench-obs bench-multicore bench-lease bench-reshard experiments experiments-paper examples clean
+.PHONY: install test lint wire-spec verify bench bench-e2e bench-e2e-smoke bench-simkernel bench-obs bench-multicore bench-lease bench-reshard experiments experiments-paper examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -60,12 +60,6 @@ bench-e2e-smoke:
 # sweep wall-clock).
 bench-simkernel:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_simkernel_regression.py -q -s -p no:cacheprovider
-
-# Wire-path regression gate: seed per-thread blocking sockets vs the
-# multiplexed protocol-v2 channel, real loopback sockets; writes
-# BENCH_wirepath.json at the repo root.  WIREPATH_CHECKS scales duration.
-bench-wirepath:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/test_wirepath_regression.py -q -s -p no:cacheprovider
 
 # Observability-overhead regression gate: channel wire path traced at the
 # default head-sampling rate vs untraced (throughput + idle p99); writes

@@ -16,7 +16,7 @@ repository root for the performance trajectory:
 
 Both wall-clock gates are statements about scheduling more than
 arithmetic, so on hosts exposing a single CPU the measurement is still
-taken and recorded but the assertions are skipped (the wirepath gate
+taken and recorded but the assertions are skipped (the obs gate
 treats core count the same way).  The over-admission gate is credit
 arithmetic and holds on any host.
 

@@ -53,7 +53,7 @@ def test_multicore_report_written(multicore_report, report_sink):
     for p in r.points:
         split = "/".join(f"{d:,}" for d in p.worker_decisions)
         lines.append(
-            f"  workers={p.n_workers} fanin={p.fanin} "
+            f"  workers={p.n_workers} "
             f"clients={p.clients} keys/call={p.keys_per_call:<3d} "
             f"{p.checks_per_sec:>9,.0f} checks/s  "
             f"defaults={p.default_replies}  shard split: {split}")

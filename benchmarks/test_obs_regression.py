@@ -8,14 +8,14 @@ root for the performance trajectory:
   head sampling at the default rate (1-in-64) versus sampling off;
   gate: the traced arm keeps ≥ 95% of untraced throughput.
 - **idle added latency** — the interleaved single-client ``GET /qos``
-  pair (both arms ``wire_mode="channel"``, ``batch_size=1``); gate:
+  pair (both arms ``batch_size=1``); gate:
   traced p99 ≤ 5% over untraced.
 
 Both gates are statements about scheduling more than arithmetic, so on
 hosts exposing a single CPU the measurement is still taken and recorded
 but the assertions are skipped (one core cannot run the client, router,
 server, and event threads concurrently enough for the numbers to mean
-anything — the wirepath and simkernel gates treat core count the same
+anything — the lease and simkernel gates treat core count the same
 way).
 
 ``OBS_CHECKS`` (env) scales the per-client check count down for smoke

@@ -105,7 +105,7 @@ def _emit_wire_outputs(args: argparse.Namespace) -> int:
         return 2
     module = ModuleSource(str(protocol),
                           protocol.read_text(encoding="utf-8"))
-    model = wiremodel.extract_wire_model(module)
+    model = wiremodel.extract_protocol_model(module)
     if args.wire_spec:
         Path(args.wire_spec).write_text(
             json.dumps(model.as_dict(), indent=2, sort_keys=True) + "\n",

@@ -7,7 +7,7 @@ reports (Pellegrini, PAPERS.md) show artifact/write-up drift is the
 default failure mode, not the exception.  This module closes that gap
 statically:
 
-- :func:`extract_wire_model` walks the protocol module's AST (no import,
+- :func:`extract_protocol_model` walks the protocol module's AST (no import,
   no execution) and lifts the **wire model**: frame-type constants
   (``_TYPE_*``), every ``struct.Struct`` format with its computed size,
   and the numeric protocol constants (``MAGIC``, ``MAX_*``, ``FLAG_*``,
@@ -47,7 +47,7 @@ __all__ = [
     "WireDocDriftChecker",
     "build_seed_corpus",
     "check_doc",
-    "extract_wire_model",
+    "extract_protocol_model",
     "find_protocol_doc",
     "write_corpus",
 ]
@@ -139,7 +139,7 @@ def _struct_format(value: ast.expr) -> Optional[str]:
     return value.args[0].value if named_struct else None
 
 
-def extract_wire_model(module: ModuleSource) -> WireModel:
+def extract_protocol_model(module: ModuleSource) -> WireModel:
     """Statically lift the wire model from a parsed protocol module."""
     model = WireModel(module.path)
     folder = _ConstFolder(model)
@@ -299,7 +299,7 @@ class WireDocDriftChecker(Checker):
         doc = find_protocol_doc(module.path)
         if doc is None:
             return                 # fixture tree without docs/: nothing to gate
-        model = extract_wire_model(module)
+        model = extract_protocol_model(module)
         if not model.frame_types:
             return                 # not actually a wire-protocol module
         doc_text = doc.read_text(encoding="utf-8")
@@ -424,7 +424,7 @@ def _main(argv: "Optional[list[str]]" = None) -> int:
                              "auto-discover; '-' to skip)")
     args = parser.parse_args(argv)
     text = Path(args.module).read_text(encoding="utf-8")
-    model = extract_wire_model(ModuleSource(args.module, text))
+    model = extract_protocol_model(ModuleSource(args.module, text))
     spec = json.dumps(model.as_dict(), indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(spec, encoding="utf-8")

@@ -221,8 +221,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         health = json.loads(_fetch(f"{endpoint}/healthz"))
         # A load balancer's /healthz is terser than a router's; print
         # only the fields the endpoint actually reported.
-        fields = [("status", "status"), ("wire_mode", "wire_mode"),
-                  ("backends", "backends"),
+        fields = [("status", "status"), ("backends", "backends"),
                   ("requests", "requests_handled")]
         summary = " ".join(f"{label}={health[key]}"
                            for label, key in fields if key in health)
@@ -313,44 +312,6 @@ def _cmd_bench_simkernel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_wirepath(args: argparse.Namespace) -> int:
-    from repro.metrics.wirepath import run_wirepath_matrix, write_report
-
-    if args.checks < 1 or args.batch < 1 or args.keys_per_call < 1 \
-            or args.repeats < 1:
-        print("error: --checks, --batch, --keys-per-call and --repeats "
-              "must be >= 1", file=sys.stderr)
-        return 2
-    if any(c < 1 for c in args.clients):
-        print("error: --clients values must be >= 1", file=sys.stderr)
-        return 2
-    report = run_wirepath_matrix(
-        client_counts=tuple(args.clients),
-        checks_per_client=args.checks,
-        batch_size=args.batch,
-        keys_per_call=args.keys_per_call,
-        repeats=args.repeats)
-    header = f"{'mode':>8} {'surface':>8} {'clients':>8} {'batch':>6} " \
-             f"{'keys/call':>10} {'checks/s':>12} {'p50 ms':>8} {'p99 ms':>8}"
-    print(header)
-    print("-" * len(header))
-    for p in report.points:
-        print(f"{p.mode:>8} {p.surface:>8} {p.clients:>8} "
-              f"{p.batch_size:>6} {p.keys_per_call:>10} "
-              f"{p.checks_per_sec:>12,.0f} {p.p50_ms:>8.3f} "
-              f"{p.p99_ms:>8.3f}")
-    for clients in sorted({p.clients for p in report.points}):
-        ratio = report.speedup(clients)
-        if ratio is not None:
-            print(f"speedup @{clients} clients: {ratio:.2f}x")
-    overhead = report.idle_p99_overhead()
-    if overhead is not None:
-        print(f"idle p99 overhead: {overhead * 100.0:+.1f}%")
-    write_report(args.out, report)
-    print(f"wrote {args.out}")
-    return 0
-
-
 def _cmd_bench_multicore(args: argparse.Namespace) -> int:
     from repro.metrics.multicore import run_multicore_bench, write_report
 
@@ -364,17 +325,16 @@ def _cmd_bench_multicore(args: argparse.Namespace) -> int:
         return 2
     report = run_multicore_bench(
         worker_counts=tuple(args.workers),
-        fanin=args.fanin,
         clients=args.clients,
         checks_per_client=args.checks,
         keys_per_call=args.keys_per_call,
         repeats=args.repeats)
-    header = f"{'workers':>8} {'fanin':>10} {'clients':>8} " \
+    header = f"{'workers':>8} {'clients':>8} " \
              f"{'keys/call':>10} {'checks/s':>12} {'defaults':>9}"
     print(header)
     print("-" * len(header))
     for p in report.points:
-        print(f"{p.n_workers:>8} {p.fanin:>10} {p.clients:>8} "
+        print(f"{p.n_workers:>8} {p.clients:>8} "
               f"{p.keys_per_call:>10} {p.checks_per_sec:>12,.0f} "
               f"{p.default_replies:>9}")
     for p in report.points:
@@ -632,22 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="skip the sweep half (kernel bench only)")
     bench_sim.set_defaults(func=_cmd_bench_simkernel)
 
-    bench_wire = sub.add_parser(
-        "bench-wirepath",
-        help="seed thread-sockets vs multiplexed channel wire benchmark")
-    bench_wire.add_argument("--out", default="BENCH_wirepath.json")
-    bench_wire.add_argument("--clients", type=int, nargs="+", default=[1, 8],
-                            help="closed-loop client thread counts")
-    bench_wire.add_argument("--checks", type=int, default=2_000,
-                            help="admission checks per client thread")
-    bench_wire.add_argument("--batch", type=int, default=64,
-                            help="channel frame coalescing limit")
-    bench_wire.add_argument("--keys-per-call", type=int, default=64,
-                            help="keys per batched exchange call")
-    bench_wire.add_argument("--repeats", type=int, default=2,
-                            help="runs per point (best kept)")
-    bench_wire.set_defaults(func=_cmd_bench_wirepath)
-
     bench_mc = sub.add_parser(
         "bench-multicore",
         help="multi-process plane A/B: aggregate decisions/s vs "
@@ -656,9 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_mc.add_argument("--workers", type=int, nargs="+", default=[1, 2],
                           help="worker-process counts to sweep "
                                "(1 = single-process baseline)")
-    bench_mc.add_argument("--fanin", choices=("portmap", "reuseport"),
-                          default="portmap",
-                          help="UDP fan-in mode for multi-worker points")
     bench_mc.add_argument("--clients", type=int, default=4,
                           help="closed-loop client threads")
     bench_mc.add_argument("--checks", type=int, default=2_000,

@@ -317,7 +317,7 @@ class AdmissionController:
         # ``crc32(key) % count == index`` (the paper's Fig. 2 partition
         # function, applied intra-node by the multi-process plane).
         # Ownership is advisory — ``check`` still decides any key it is
-        # handed (a restart window or a forwarded v1 datagram may land
+        # handed (a restart window or a reshard rollout may land
         # out-of-range traffic here) — but :meth:`owns` lets the wire
         # layer route and count hops correctly.
         if shard_range is not None:

@@ -93,29 +93,13 @@ class RouterConfig:
     #: Verdict returned to the client when all retries fail.  Fail-open
     #: (True) preserves availability; fail-closed (False) preserves quota.
     default_reply: bool = True
-    #: Router↔server wire path.  ``"channel"`` multiplexes every handler
-    #: thread over one shared non-blocking UDP channel per backend
-    #: (protocol-v2 batch frames, selectors event thread, timer-wheel
-    #: retries); ``"thread"`` reproduces the seed per-thread blocking
-    #: socket with one datagram per admission check (kept selectable for
-    #: A/B measurement — see ``repro.metrics.wirepath``); ``"auto"``
-    #: picks per request: the blocking thread path while concurrency and
-    #: batch size sit below ``auto_channel_threshold`` (where
-    #: BENCH_wirepath shows the channel's event-loop indirection costs
-    #: more than it amortizes), the channel otherwise.
-    wire_mode: str = "channel"
     #: Maximum requests the channel coalesces into one v2 frame per send.
     #: 1 disables batching (every request is its own frame/datagram);
     #: larger values amortize syscall and wakeup cost under load without
     #: adding latency when idle (a lone pending request is sent
     #: immediately, never held back to fill a batch).
     batch_size: int = 64
-    #: Datagram version the channel emits: 2 (batch frames) or 1
-    #: (single-message datagrams, for v1-only QoS servers).  Servers
-    #: answer in the version the request arrived with, so either value
-    #: interoperates with a v2 server.
-    wire_protocol: int = 2
-    #: Timer-wheel granularity (seconds) for channel-mode timeouts and
+    #: Timer-wheel granularity (seconds) for channel timeouts and
     #: retries.  An expiry fires within one tick after its deadline, so
     #: the effective retry timeout is ``udp_timeout`` rounded up to the
     #: next tick; ticks far below ``udp_timeout`` buy precision at the
@@ -129,20 +113,12 @@ class RouterConfig:
     #: benchmark (``BENCH_obs.json``) gates the default-rate cost at
     #: ≤ 5% throughput and idle-p99.
     trace_sample_rate: float = 0.0
-    #: ``wire_mode="auto"`` decision point: a single check rides the
-    #: thread path while fewer than this many exchanges are in flight on
-    #: the router, and a batch rides the channel once it carries at
-    #: least this many items.  2 means "one lone sequential client stays
-    #: on the seed path; any real concurrency or batching multiplexes".
-    auto_channel_threshold: int = 2
     #: Enable the credit-lease plane: hot keys are admitted router-locally
     #: from a leased credit balance with zero wire traffic (see
     #: :mod:`repro.runtime.lease`).  Off by default — when off, the
     #: router's wire image is byte-identical to the lease-free protocol
-    #: and the hot path carries no tracker overhead.  Leasing requires
-    #: the channel wire path (``wire_mode`` "channel" or "auto" with
-    #: ``wire_protocol=2``): grants and revokes arrive on the channel's
-    #: event loop.
+    #: and the hot path carries no tracker overhead.  Grants and revokes
+    #: arrive on the channel's event loop.
     lease_enabled: bool = False
     #: A key becomes lease-worthy once it accrues this many wire checks
     #: within one decay window of the router's hotness tracker.
@@ -168,20 +144,9 @@ class RouterConfig:
             raise ConfigurationError(f"udp_timeout must be > 0, got {self.udp_timeout}")
         if self.max_retries < 1:
             raise ConfigurationError(f"max_retries must be >= 1, got {self.max_retries}")
-        if self.wire_mode not in ("channel", "thread", "auto"):
-            raise ConfigurationError(
-                f"wire_mode must be 'channel', 'thread' or 'auto', "
-                f"got {self.wire_mode!r}")
-        if self.auto_channel_threshold < 1:
-            raise ConfigurationError(
-                f"auto_channel_threshold must be >= 1, "
-                f"got {self.auto_channel_threshold}")
         if self.batch_size < 1:
             raise ConfigurationError(
                 f"batch_size must be >= 1, got {self.batch_size}")
-        if self.wire_protocol not in (1, 2):
-            raise ConfigurationError(
-                f"wire_protocol must be 1 or 2, got {self.wire_protocol}")
         if self.timer_tick <= 0:
             raise ConfigurationError(
                 f"timer_tick must be > 0, got {self.timer_tick}")
@@ -202,14 +167,6 @@ class RouterConfig:
         if self.lease_max_keys < 1:
             raise ConfigurationError(
                 f"lease_max_keys must be >= 1, got {self.lease_max_keys}")
-        if self.lease_enabled and self.wire_mode == "thread":
-            raise ConfigurationError(
-                "lease_enabled requires wire_mode 'channel' or 'auto' "
-                "(grants arrive on the channel event loop)")
-        if self.lease_enabled and self.wire_protocol != 2:
-            raise ConfigurationError(
-                "lease_enabled requires wire_protocol 2 (lease frames "
-                "are v2-only)")
 
     @property
     def worst_case_wait(self) -> float:
@@ -274,20 +231,13 @@ class ServerConfig:
 class ProcPlaneConfig:
     """Supervisor knobs for a multi-process QoS node.
 
-    Governs :class:`repro.runtime.procplane.ProcPlaneNode`: how UDP
-    traffic fans in across the worker processes, and how the supervisor
-    supervises (heartbeats, crash restarts, graceful drain).
+    Governs how :class:`repro.runtime.procplane.ProcPlaneNode`
+    supervises its worker processes (heartbeats, crash restarts,
+    graceful drain).  Every worker owns a private port; the router's
+    ``CRC32(key) mod N`` over the published per-shard port map lands
+    each frame directly on the owning process.
     """
 
-    #: Fan-in mode.  ``"portmap"`` (default) gives every worker its own
-    #: private port and publishes the ordered per-shard port map to the
-    #: router, whose ``CRC32(key) mod N`` then lands each frame directly
-    #: on the owning process — zero cross-process hops on the hot path.
-    #: ``"reuseport"`` binds every worker to one shared port with
-    #: ``SO_REUSEPORT``; the kernel spreads frames, and a worker forwards
-    #: out-of-range keys to the owning sibling via a local envelope (one
-    #: extra hop for roughly ``(P-1)/P`` of traffic).
-    fanin: str = "portmap"
     #: How often each worker writes a heartbeat up its control pipe.
     heartbeat_interval: float = 0.2
     #: Silence longer than this (with the process still notionally alive)
@@ -307,9 +257,6 @@ class ProcPlaneConfig:
     drain_timeout: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.fanin not in ("portmap", "reuseport"):
-            raise ConfigurationError(
-                f"fanin must be 'portmap' or 'reuseport', got {self.fanin!r}")
         for name in ("heartbeat_interval", "heartbeat_timeout",
                      "snapshot_interval", "restart_backoff",
                      "spawn_timeout", "drain_timeout"):

@@ -122,7 +122,6 @@ from __future__ import annotations
 import itertools
 import math
 import struct
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -131,8 +130,7 @@ from repro.core.errors import ProtocolError
 
 __all__ = ["QoSRequest", "QoSResponse", "LeaseRequest", "LeaseGrant",
            "LeaseRevoke", "SnapshotChunk", "XferAck", "TopologyUpdate",
-           "RequestIdGenerator",
-           "LockedRequestIdGenerator", "decode", "decode_any",
+           "RequestIdGenerator", "decode", "decode_any",
            "decode_any_traced", "encode_request_frame",
            "encode_request_frame_parts", "encode_response_frame",
            "encode_response_frame_bits",
@@ -1192,8 +1190,7 @@ class RequestIdGenerator:
 
     ``next(itertools.count())`` is a single C-level call that never
     releases the GIL mid-increment on CPython, so no lock is needed on
-    the id hot path.  On runtimes without that atomicity guarantee use
-    :class:`LockedRequestIdGenerator` instead.
+    the id hot path.
     """
 
     __slots__ = ("_counter",)
@@ -1204,14 +1201,3 @@ class RequestIdGenerator:
     def next_id(self) -> int:
         return next(self._counter) % 2**64
 
-
-class LockedRequestIdGenerator:
-    __slots__ = ("_counter", "_lock")
-
-    def __init__(self, start: int = 1):
-        self._counter = itertools.count(start)
-        self._lock = threading.Lock()
-
-    def next_id(self) -> int:
-        with self._lock:
-            return next(self._counter) % 2**64

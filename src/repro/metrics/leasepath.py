@@ -91,8 +91,7 @@ def _lease_router_config(enabled: bool, *, batch_size: int = 64,
                          credits: float = _BENCH_LEASE_CREDITS,
                          ttl: float = 0.5) -> RouterConfig:
     return RouterConfig(
-        udp_timeout=_BENCH_UDP_TIMEOUT, max_retries=3,
-        wire_mode="channel", wire_protocol=2, batch_size=batch_size,
+        udp_timeout=_BENCH_UDP_TIMEOUT, max_retries=3, batch_size=batch_size,
         lease_enabled=enabled, lease_hot_threshold=hot_threshold,
         lease_credits=credits, lease_ttl=ttl)
 
@@ -411,10 +410,10 @@ def run_lease_ab(
 
     Each throughput arm runs ``repeats`` times keeping the
     highest-throughput run (applied to both arms identically — the
-    same outlier policy as :func:`repro.metrics.wirepath.
-    run_wirepath_matrix`).  The idle pair reuses the interleaved
-    harness from :mod:`repro.metrics.wirepath` over its uniform
-    256-key set, on which no key crosses the hotness threshold.
+    same outlier policy as :func:`repro.metrics.wirepath.run_obs_ab`).
+    The idle pair reuses the interleaved harness from
+    :mod:`repro.metrics.wirepath` over its uniform 256-key set, on which
+    no key crosses the hotness threshold.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
@@ -436,8 +435,8 @@ def run_lease_ab(
                 ("lease", _lease_router_config(True, batch_size=1))]
         best_pair = min(
             (measure_idle_latency_pair(
-                checks_per_client=max(checks_per_client, 1),
-                switch_interval=switch_interval, arms=arms)
+                arms, checks_per_client=max(checks_per_client, 1),
+                switch_interval=switch_interval)
              for _ in range(repeats)),
             key=lambda pair: sum(p.p99_ms for p in pair))
         report.idle_points.extend(best_pair)

@@ -9,7 +9,7 @@ closed-loop client threads over the same multiplexed
 :class:`~repro.runtime.udp_channel.ChannelSet` the router uses, and
 reports aggregate admission throughput per worker count.
 
-Routing mirrors the router's port-map mode: each key's backend is
+Routing mirrors the router: each key's backend is
 ``backends[crc32_router(key, n)]``, so every check lands directly on the
 worker process owning its shard — the hop-free hot path the gate is a
 statement about.
@@ -31,7 +31,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
-from repro.core.config import ProcPlaneConfig, RouterConfig, ServerConfig
+from repro.core.config import RouterConfig, ServerConfig
 from repro.core.hashing import crc32_router
 from repro.core.rules import QoSRule
 from repro.metrics.wirepath import (
@@ -59,7 +59,6 @@ class MulticorePoint:
     """One measured worker-count configuration."""
 
     n_workers: int
-    fanin: str
     clients: int
     keys_per_call: int
     checks: int
@@ -116,7 +115,6 @@ class MulticoreReport:
 def measure_multicore(
     *,
     n_workers: int = 2,
-    fanin: str = "portmap",
     clients: int = 4,
     checks_per_client: int = 2_000,
     keys_per_call: int = 32,
@@ -135,8 +133,7 @@ def measure_multicore(
     Boots the node, then hammers it from ``clients`` closed-loop threads
     through one shared :class:`ChannelSet` — ``keys_per_call`` checks
     per ``exchange_many`` call, each check routed to its owning worker's
-    port by ``crc32_router`` (port-map mode) or to the shared port
-    (``fanin="reuseport"``).  ``checks_per_client`` counts keys, so
+    port by ``crc32_router``.  ``checks_per_client`` counts keys, so
     throughput is comparable across worker counts.
     """
     if n_workers < 1:
@@ -148,11 +145,10 @@ def measure_multicore(
         rules,
         config=ServerConfig(workers=server_workers, batch_size=server_batch,
                             processes=n_workers),
-        plane=ProcPlaneConfig(fanin=fanin),
         name="mc-node")
     channel_config = RouterConfig(
         udp_timeout=_BENCH_UDP_TIMEOUT, max_retries=3,
-        wire_mode="channel", batch_size=batch_size)
+        batch_size=batch_size)
     with node:
         backends = node.backend_addresses()
         n_backends = len(backends)
@@ -218,7 +214,6 @@ def measure_multicore(
              * keys_per_call)
     return MulticorePoint(
         n_workers=n_workers,
-        fanin=fanin,
         clients=clients,
         keys_per_call=keys_per_call,
         checks=total,
@@ -232,7 +227,6 @@ def measure_multicore(
 def run_multicore_bench(
     worker_counts: Sequence[int] = (1, 2),
     *,
-    fanin: str = "portmap",
     clients: int = 4,
     checks_per_client: int = 2_000,
     keys_per_call: int = 32,
@@ -261,7 +255,7 @@ def run_multicore_bench(
     for _ in range(repeats):
         for n in worker_counts:
             point = measure_multicore(
-                n_workers=n, fanin=fanin, clients=clients,
+                n_workers=n, clients=clients,
                 checks_per_client=checks_per_client,
                 keys_per_call=keys_per_call, n_keys=n_keys, seed=seed,
                 switch_interval=switch_interval)

@@ -127,8 +127,7 @@ def measure_migration_fidelity(
     extra: Optional[QoSServerDaemon] = None
     router = RequestRouterDaemon(
         [s.address for s in servers],
-        config=RouterConfig(udp_timeout=0.25, max_retries=3,
-                            wire_mode="channel", wire_protocol=2),
+        config=RouterConfig(udp_timeout=0.25, max_retries=3),
         name="fidelity-router").start()
     try:
         coordinator = ReshardCoordinator([router],
@@ -201,8 +200,7 @@ def measure_transfer_window(
     """
     cluster = LocalCluster(
         n_routers=1, n_qos_servers=2,
-        router_config=RouterConfig(udp_timeout=0.25, max_retries=3,
-                                   wire_mode="channel", wire_protocol=2),
+        router_config=RouterConfig(udp_timeout=0.25, max_retries=3),
         server_config=ServerConfig(workers=2))
     keys = [f"window-key-{i}" for i in range(n_keys)]
     for key in keys:

@@ -1,43 +1,27 @@
 """Wire-path micro-harness: router→server admission round trips per second.
 
-PR 1 made the admission decision ~1.7x faster, which moved the router
-tier's bottleneck to the wire: the seed router performs one blocking
-``sendto``/``recvfrom`` pair on a per-thread socket for every check, so
-throughput is capped by per-datagram syscall and wakeup cost.  This module
-measures the replacement — the multiplexed, batched channel of
-:mod:`repro.runtime.udp_channel` — against that seed path, both over the
-same real :class:`~repro.runtime.udp_server.QoSServerDaemon` on loopback:
+:func:`measure_wirepath` boots one real
+:class:`~repro.runtime.udp_server.QoSServerDaemon` and one router on
+loopback and drives the multiplexed, batched channel of
+:mod:`repro.runtime.udp_channel` from closed-loop client threads.  Its
+throughput points (``surface="wire"``) call
+:meth:`RequestRouterDaemon.qos_exchange`/``qos_exchange_many`` directly,
+so the measurement isolates the router↔server wire path (no HTTP parsing
+in the timed region).
 
-- ``mode="thread"`` — the seed path, kept selectable via
-  ``RouterConfig(wire_mode="thread")``: per-thread blocking sockets, one
-  v1 datagram per check;
-- ``mode="channel"`` — one shared non-blocking channel per backend,
-  protocol-v2 batch frames, selectors event thread, timer-wheel retries.
+:func:`measure_idle_latency_pair` times real ``GET /qos`` requests
+(``surface="http"``) to compare the idle latency of several router
+configurations (*arms*).  Because sub-millisecond p99s drift with host
+load far more than the arms differ, it measures them *interleaved*: one
+server, one router per arm, alternating short request blocks inside the
+same time window, so ambient noise lands on every arm equally.
 
-Throughput points (``surface="wire"``) drive
-:meth:`RequestRouterDaemon.qos_exchange`/``qos_exchange_many`` directly
-from closed-loop client threads, so the measurement isolates the
-router↔server wire path (no HTTP parsing in the timed region).  The idle
-latency pair (``surface="http"``, one client, channel ``batch_size=1``)
-instead times real ``GET /qos`` requests end to end — the latency a lone
-application request actually experiences — to bound the added tail
-latency of the multiplexed indirection against the seed path.  Because
-sub-millisecond p99s drift with host load far more than the wire modes
-differ, the idle pair is measured *interleaved*: one server, both
-routers, alternating short request blocks inside the same time window,
-so ambient noise lands on both modes equally
-(:func:`measure_idle_latency_pair`).
-
-``benchmarks/test_wirepath_regression.py`` turns this into a regression
-gate and writes ``BENCH_wirepath.json``; ``make bench-wirepath`` and
-``janus bench-wirepath`` run it from the command line.
-
-The same harness measures the observability plane's cost:
-:func:`run_obs_ab` A/Bs the channel wire path traced (head sampling at
-``trace_rate``, default 1-in-64) against untraced on both the
-throughput and idle-latency surfaces, which
-``benchmarks/test_obs_regression.py`` gates at ≤ 5% and writes to
-``BENCH_obs.json`` (``make bench-obs`` / ``janus bench-obs``).
+:func:`run_obs_ab` uses both to measure the observability plane's cost:
+it A/Bs the wire path traced (head sampling at ``trace_rate``, default
+1-in-64) against untraced on the throughput and idle-latency surfaces,
+which ``benchmarks/test_obs_regression.py`` gates at ≤ 5% and writes to
+``BENCH_obs.json`` (``make bench-obs`` / ``janus bench-obs``).  The
+lease and multi-core harnesses reuse the same pieces.
 """
 
 from __future__ import annotations
@@ -63,11 +47,9 @@ from repro.workload.keygen import uuid_keys
 __all__ = [
     "ObsABReport",
     "WirepathPoint",
-    "WirepathReport",
     "measure_idle_latency_pair",
     "measure_wirepath",
     "run_obs_ab",
-    "run_wirepath_matrix",
     "write_report",
 ]
 
@@ -86,7 +68,7 @@ _BENCH_UDP_TIMEOUT = 0.5
 class WirepathPoint:
     """One measured wire-path configuration."""
 
-    mode: str                   # "thread" (seed) or "channel"
+    mode: str                   # arm label; "channel" for wire points
     surface: str                # "wire" (direct router calls) or "http"
     clients: int
     batch_size: int             # channel coalescing limit (1 = no batching)
@@ -100,89 +82,6 @@ class WirepathPoint:
     retries: int
     #: Router head-sampling rate active during the run (0 = untraced).
     trace_rate: float = 0.0
-
-
-@dataclass(slots=True)
-class WirepathReport:
-    """A full sweep plus seed-vs-channel speedups and idle-latency delta."""
-
-    points: list[WirepathPoint] = field(default_factory=list)
-    machine: dict = field(default_factory=dict)
-
-    def point(self, mode: str, clients: int,
-              batch_size: Optional[int] = None,
-              keys_per_call: Optional[int] = None,
-              surface: str = "wire") -> Optional[WirepathPoint]:
-        for p in self.points:
-            if p.mode != mode or p.clients != clients:
-                continue
-            if p.surface != surface:
-                continue
-            if batch_size is not None and p.batch_size != batch_size:
-                continue
-            if keys_per_call is not None and p.keys_per_call != keys_per_call:
-                continue
-            return p
-        return None
-
-    def speedup(self, clients: int) -> Optional[float]:
-        """Channel throughput over seed throughput at one client count.
-
-        Compares like with like on the wire surface: the largest
-        ``keys_per_call`` measured for *both* modes at this client count
-        (the batch surface is the headline configuration — one v2 frame
-        versus a sequential loop of blocking datagrams for the same
-        work), falling back to the single-key points when no batched
-        pair exists.
-        """
-        kpcs = sorted({p.keys_per_call for p in self.points
-                       if p.clients == clients and p.surface == "wire"},
-                      reverse=True)
-        for kpc in kpcs:
-            seed = self.point("thread", clients, keys_per_call=kpc)
-            channels = [p for p in self.points
-                        if p.mode == "channel" and p.clients == clients
-                        and p.keys_per_call == kpc and p.surface == "wire"]
-            if seed is None or not channels or seed.checks_per_sec <= 0:
-                continue
-            batched = [p for p in channels if p.batch_size > 1]
-            channel = batched[0] if batched else channels[0]
-            return channel.checks_per_sec / seed.checks_per_sec
-        return None
-
-    def idle_p99_overhead(self) -> Optional[float]:
-        """Fractional p99 request-latency overhead of the idle channel.
-
-        Compares the single-client, single-key, batch-size-1 channel
-        point against the matching seed point on the HTTP surface — the
-        latency a lone ``GET /qos`` request actually experiences — so the
-        number answers "does switching the wire mode add tail latency to
-        an idle service?".  0.10 means the channel's p99 is 10% above
-        seed; negative values mean the channel is faster.  Falls back to
-        the wire-surface pair when no HTTP points were measured.
-        """
-        for surface in ("http", "wire"):
-            seed = self.point("thread", 1, keys_per_call=1, surface=surface)
-            channel = self.point("channel", 1, batch_size=1, keys_per_call=1,
-                                 surface=surface)
-            if seed is not None and channel is not None and seed.p99_ms > 0:
-                return channel.p99_ms / seed.p99_ms - 1.0
-        return None
-
-    def as_dict(self) -> dict:
-        speedups = {}
-        for clients in sorted({p.clients for p in self.points}):
-            ratio = self.speedup(clients)
-            if ratio is not None:
-                speedups[f"clients{clients}"] = round(ratio, 3)
-        overhead = self.idle_p99_overhead()
-        return {
-            "machine": self.machine,
-            "points": [asdict(p) for p in self.points],
-            "speedup_channel_over_seed": speedups,
-            "idle_p99_overhead_pct": (round(overhead * 100.0, 2)
-                                      if overhead is not None else None),
-        }
 
 
 def _machine_info(switch_interval: Optional[float] = None) -> dict:
@@ -201,14 +100,12 @@ def _machine_info(switch_interval: Optional[float] = None) -> dict:
 
 def measure_wirepath(
     *,
-    mode: str = "channel",
-    surface: str = "wire",
     clients: int = 8,
     checks_per_client: int = 2_000,
     batch_size: int = 64,
     keys_per_call: int = 1,
     # One worker: on the small hosts this harness targets, extra GIL-bound
-    # workers only add handoffs, and both modes share the same server.
+    # workers only add handoffs.
     server_workers: int = 1,
     server_batch: int = 64,
     n_keys: int = 256,
@@ -221,32 +118,22 @@ def measure_wirepath(
 
     Boots one real QoS server and one router on loopback, warms the
     admission table outside the timed region, then hammers the router
-    from ``clients`` threads.  ``surface="wire"`` calls the router
-    object directly: ``keys_per_call=1`` times ``router.qos_exchange``
-    per key; larger values time ``router.qos_exchange_many`` over chunks
-    of that many keys — the batch surface that ``POST /qos/batch``
-    exposes.  ``checks_per_client`` always counts *keys*, so throughput
-    is comparable across the two.  ``surface="http"`` times real
-    ``GET /qos`` requests through :class:`QoSClient` instead — the
-    latency a lone application request experiences end to end, used for
-    the idle-latency comparison.
+    from ``clients`` threads, calling the router object directly:
+    ``keys_per_call=1`` times ``router.qos_exchange`` per key; larger
+    values time ``router.qos_exchange_many`` over chunks of that many
+    keys — the batch surface that ``POST /qos/batch`` exposes.
+    ``checks_per_client`` always counts *keys*, so throughput is
+    comparable across the two.
 
     ``switch_interval`` (seconds, ``None`` to leave untouched) lowers the
     interpreter's GIL switch interval for the timed region — applied to
-    *both* modes identically.  The default 5 ms quantum lets any
+    every arm identically.  The default 5 ms quantum lets any
     CPU-holding thread stall the many cross-thread wakeups this tier is
     made of; 0.5 ms is the documented wire-path tuning (see
     ``docs/OPERATIONS.md``) and matters most on few-core hosts.
     """
-    if mode not in ("thread", "channel"):
-        raise ValueError(f"mode must be 'thread' or 'channel', got {mode!r}")
-    if surface not in ("wire", "http"):
-        raise ValueError(f"surface must be 'wire' or 'http', got {surface!r}")
     if keys_per_call < 1:
         raise ValueError(f"keys_per_call must be >= 1, got {keys_per_call}")
-    if surface == "http" and keys_per_call != 1:
-        raise ValueError("http surface measures single GET /qos requests; "
-                         "use keys_per_call=1")
     keys = uuid_keys(n_keys, seed=seed)
     source = InMemoryRuleSource(
         {k: QoSRule(k, refill_rate=_HOT_RULE_RATE,
@@ -255,15 +142,13 @@ def measure_wirepath(
                                  batch_size=server_batch)
     router_config = RouterConfig(
         udp_timeout=_BENCH_UDP_TIMEOUT, max_retries=3,
-        wire_mode=mode, batch_size=batch_size,
-        trace_sample_rate=trace_sample_rate)
+        batch_size=batch_size, trace_sample_rate=trace_sample_rate)
     with QoSServerDaemon(source, config=server_config,
                          name="wirepath-qos") as server:
         with RequestRouterDaemon([server.address], config=router_config,
                                  name="wirepath-router") as router:
             exchange = router.qos_exchange
             exchange_many = router.qos_exchange_many
-            client = QoSClient(router.url) if surface == "http" else None
             for k in keys[:min(n_keys, 64)]:
                 exchange(k)                     # warm table + sockets
             start = threading.Barrier(clients + 1)
@@ -283,22 +168,6 @@ def measure_wirepath(
                              for o in range(keys_per_call)]
                     chunks.append(chunk)
                     j += keys_per_call
-                if client is not None:
-                    for i in range(warmup_per_client):
-                        client.check(local[i % n])  # warm the TCP connection
-                    start.wait()
-                    i = 0
-                    for _ in range(checks_per_client):
-                        t0 = time.perf_counter()
-                        result = client.check_detailed(local[i])
-                        record(time.perf_counter() - t0)
-                        if result.is_default_reply:
-                            defaults[wid] += 1
-                        i += 1
-                        if i == n:
-                            i = 0
-                    done.wait()
-                    return
                 for i in range(warmup_per_client):
                     exchange(local[i % n])
                 start.wait()
@@ -350,10 +219,10 @@ def measure_wirepath(
         return flat[min(len(flat) - 1, int(q * (len(flat) - 1)))] * 1e3
 
     return WirepathPoint(
-        mode=mode,
-        surface=surface,
+        mode="channel",
+        surface="wire",
         clients=clients,
-        batch_size=batch_size if mode == "channel" else 1,
+        batch_size=batch_size,
         keys_per_call=keys_per_call,
         checks=total,
         elapsed_s=elapsed,
@@ -367,6 +236,7 @@ def measure_wirepath(
 
 
 def measure_idle_latency_pair(
+    arms: Sequence[tuple[str, RouterConfig]],
     *,
     checks_per_client: int = 3_000,
     block: int = 10,
@@ -376,7 +246,6 @@ def measure_idle_latency_pair(
     seed: int = 88,
     warmup_per_client: int = 300,
     switch_interval: Optional[float] = 0.0005,
-    arms: Optional[Sequence[tuple[str, RouterConfig]]] = None,
 ) -> list[WirepathPoint]:
     """Interleaved idle ``GET /qos`` latency across router *arms*.
 
@@ -384,21 +253,15 @@ def measure_idle_latency_pair(
     of ``block`` sequential requests between the arms until each has
     ``checks_per_client`` samples.  All arms thus see the same ambient
     host noise, which at sub-millisecond p99s otherwise dwarfs the
-    difference being measured.  The default arms are the seed-vs-channel
-    wire-mode pair (``wire_mode="thread"`` and ``wire_mode="channel"``
-    with ``batch_size=1``); :func:`run_obs_ab` passes a traced-vs-
-    untraced pair instead.  Returns one ``surface="http"`` point per
-    arm, labelled by the arm name; ``elapsed_s`` is the per-arm sum of
-    request latencies.
+    difference being measured.  :func:`run_obs_ab` passes a traced-vs-
+    untraced pair, the lease harness a lease-on/off pair.  Returns one
+    ``surface="http"`` point per arm, labelled by the arm name;
+    ``elapsed_s`` is the per-arm sum of request latencies.
     """
     keys = uuid_keys(n_keys, seed=seed)
     source = InMemoryRuleSource(
         {k: QoSRule(k, refill_rate=_HOT_RULE_RATE,
                     capacity=_HOT_RULE_CAPACITY) for k in keys})
-    if arms is None:
-        arms = [(m, RouterConfig(udp_timeout=_BENCH_UDP_TIMEOUT,
-                                 max_retries=3, wire_mode=m, batch_size=1))
-                for m in ("thread", "channel")]
     labels = [label for label, _ in arms]
     if len(set(labels)) != len(labels):
         raise ValueError(f"arm labels must be unique, got {labels}")
@@ -455,70 +318,13 @@ def measure_idle_latency_pair(
 
         points.append(WirepathPoint(
             mode=label, surface="http", clients=1,
-            batch_size=(router_config.batch_size
-                        if router_config.wire_mode == "channel" else 1),
+            batch_size=router_config.batch_size,
             keys_per_call=1, checks=len(flat), elapsed_s=elapsed,
             checks_per_sec=len(flat) / elapsed if elapsed > 0 else 0.0,
             p50_ms=percentile(0.50), p99_ms=percentile(0.99),
             default_replies=defaults[label], retries=retries[label],
             trace_rate=router_config.trace_sample_rate))
     return points
-
-
-def run_wirepath_matrix(
-    client_counts: Sequence[int] = (1, 8),
-    *,
-    checks_per_client: int = 2_000,
-    batch_size: int = 64,
-    keys_per_call: int = 64,
-    include_idle_latency: bool = True,
-    repeats: int = 2,
-    n_keys: int = 256,
-    seed: int = 88,
-    switch_interval: Optional[float] = 0.0005,
-) -> WirepathReport:
-    """Sweep seed vs channel over ``client_counts``, back to back.
-
-    Every client count gets the single-key pair (per-check latency and
-    closed-loop throughput) and, when ``keys_per_call > 1``, the batched
-    pair — the same ``keys_per_call`` keys per call on both wire paths,
-    which is the configuration :meth:`WirepathReport.speedup` reports.
-    Each wire point runs ``repeats`` times and keeps the
-    highest-throughput run — applied to both modes identically, this
-    discards scheduler-noise outliers without biasing the comparison.
-    ``include_idle_latency`` adds the interleaved HTTP idle pair from
-    :func:`measure_idle_latency_pair`, which is what
-    :meth:`WirepathReport.idle_p99_overhead` compares.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    report = WirepathReport(machine=_machine_info(switch_interval))
-    for clients in client_counts:
-        for kpc in ((1, keys_per_call) if keys_per_call > 1 else (1,)):
-            for mode in ("thread", "channel"):
-                best = max(
-                    (measure_wirepath(
-                        mode=mode, clients=clients,
-                        checks_per_client=checks_per_client,
-                        batch_size=batch_size, keys_per_call=kpc,
-                        n_keys=n_keys, seed=seed,
-                        switch_interval=switch_interval)
-                     for _ in range(repeats)),
-                    key=lambda p: p.checks_per_sec)
-                report.points.append(best)
-    if include_idle_latency:
-        # Of ``repeats`` interleaved pair runs, keep the one with the
-        # lowest summed p99 — the least noise-disturbed window.  The
-        # selection is symmetric in the two modes, so it cannot tilt
-        # the overhead ratio either way.
-        best_pair = min(
-            (measure_idle_latency_pair(
-                checks_per_client=max(checks_per_client, 1),
-                n_keys=n_keys, seed=seed, switch_interval=switch_interval)
-             for _ in range(repeats)),
-            key=lambda pair: sum(p.p99_ms for p in pair))
-        report.points.extend(best_pair)
-    return report
 
 
 @dataclass(slots=True)
@@ -528,7 +334,7 @@ class ObsABReport:
     Quantifies what the observability plane costs when it is *on*:
     head sampling at ``trace_rate`` plus the always-on striped counters
     and histograms, versus the same wire path with sampling off.  Two
-    surfaces, mirroring :class:`WirepathReport`: closed-loop throughput
+    surfaces: closed-loop throughput
     (``surface="wire"``) and interleaved idle ``GET /qos`` latency
     (``surface="http"``).  Within each surface the untraced point is the
     one with ``trace_rate == 0``.
@@ -597,13 +403,14 @@ def run_obs_ab(
 ) -> ObsABReport:
     """A/B the channel wire path with head sampling on vs off.
 
-    The throughput arm runs :func:`measure_wirepath` on the channel mode
-    at ``trace_sample_rate`` 0 and ``trace_rate`` (best of ``repeats``
-    each, same outlier policy as :func:`run_wirepath_matrix`).  The idle
-    arm reuses the interleaved :func:`measure_idle_latency_pair` harness
-    with a traced-vs-untraced router pair (both ``wire_mode="channel"``,
-    ``batch_size=1``) so ambient noise lands on both arms equally,
-    keeping the lowest-summed-p99 run of ``repeats``.
+    The throughput arm runs :func:`measure_wirepath` at
+    ``trace_sample_rate`` 0 and ``trace_rate``, keeping the
+    highest-throughput run of ``repeats`` each — applied to both arms
+    identically, this discards scheduler-noise outliers without biasing
+    the comparison.  The idle arm reuses the interleaved
+    :func:`measure_idle_latency_pair` harness with a traced-vs-untraced
+    router pair (both ``batch_size=1``) so ambient noise lands on both
+    arms equally, keeping the lowest-summed-p99 run of ``repeats``.
     ``benchmarks/test_obs_regression.py`` gates both overheads at ≤ 5%
     and writes the report to ``BENCH_obs.json``.
     """
@@ -616,7 +423,7 @@ def run_obs_ab(
     for rate in (0.0, trace_rate):
         best = max(
             (measure_wirepath(
-                mode="channel", clients=clients,
+                clients=clients,
                 checks_per_client=checks_per_client,
                 batch_size=batch_size, keys_per_call=keys_per_call,
                 n_keys=n_keys, seed=seed, switch_interval=switch_interval,
@@ -628,14 +435,12 @@ def run_obs_ab(
         def _arm(label: str, rate: float) -> tuple[str, RouterConfig]:
             return (label, RouterConfig(
                 udp_timeout=_BENCH_UDP_TIMEOUT, max_retries=3,
-                wire_mode="channel", batch_size=1,
-                trace_sample_rate=rate))
+                batch_size=1, trace_sample_rate=rate))
         arms = [_arm("untraced", 0.0), _arm("traced", trace_rate)]
         best_pair = min(
             (measure_idle_latency_pair(
-                checks_per_client=max(checks_per_client, 1),
-                n_keys=n_keys, seed=seed, switch_interval=switch_interval,
-                arms=arms)
+                arms, checks_per_client=max(checks_per_client, 1),
+                n_keys=n_keys, seed=seed, switch_interval=switch_interval)
              for _ in range(repeats)),
             key=lambda pair: sum(p.p99_ms for p in pair))
         report.points.extend(best_pair)
@@ -645,8 +450,8 @@ def run_obs_ab(
 def write_report(path, report) -> None:
     """Serialize a report as JSON (the ``BENCH_*.json`` artifacts).
 
-    Accepts anything with an ``as_dict()`` —
-    :class:`WirepathReport` and :class:`ObsABReport`.
+    Accepts anything with an ``as_dict()`` (:class:`ObsABReport` and
+    the lease, multi-core and reshard reports).
     """
     with open(path, "w") as fh:
         json.dump(report.as_dict(), fh, indent=2, sort_keys=True)

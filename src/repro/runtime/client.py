@@ -81,11 +81,6 @@ class QoSClient:
         self.transport_errors = 0
         self._sampler = HeadSampler(trace_sample_rate)
         self._tracer = default_tracer()
-        #: Set once the endpoint answers ``POST /qos/batch`` with 404/405
-        #: (a pre-batch router): later batches skip the doomed POST — and
-        #: the connection reset its error reply forces — and go straight
-        #: to per-key GETs on the persistent connection.
-        self._batch_unsupported = False
 
     def _sample_trace(self) -> int:
         return (self._tracer.new_trace_id() if self._sampler.sample()
@@ -154,14 +149,11 @@ class QoSClient:
 
         The router resolves the whole batch concurrently (items sharing a
         backend share one wire frame), so N checks cost one HTTP exchange
-        instead of N.  Results come back in key order.  Against a router
-        that predates the batch endpoint (HTTP 404/405) this falls back
-        to per-key :meth:`check_detailed` calls.
+        instead of N.  Results come back in key order.  A non-200 reply
+        raises :class:`CommunicationError`.
         """
         if not keys:
             return []
-        if self._batch_unsupported:
-            return self._check_many_fallback(keys, cost)
         trace_id = self._sample_trace()
         payload: dict = {"items": [{"key": key, "cost": cost}
                                    for key in keys]}
@@ -182,18 +174,6 @@ class QoSClient:
                              headers={"Content-Type": "application/json"})
                 response = conn.getresponse()
                 payload_bytes = response.read()
-                if response.status in (404, 405):   # pre-batch router
-                    self._batch_unsupported = True
-                    if response.will_close:
-                        # A stdlib-style error reply carries
-                        # ``Connection: close``: drop the dead socket now
-                        # so the first fallback GET reconnects cleanly
-                        # instead of burning a failed attempt on it.
-                        conn.close()
-                        self._local.conn = None
-                    if span is not None:
-                        self._tracer.finish(span, fallback=True)
-                    return self._check_many_fallback(keys, cost)
                 if response.status != 200:
                     raise CommunicationError(
                         f"endpoint returned HTTP {response.status}")
@@ -224,14 +204,6 @@ class QoSClient:
                                attempts=0, latency=latency,
                                trace_id=trace_id)
                 for _ in keys]
-
-    def _check_many_fallback(self, keys: Sequence[str],
-                             cost: float = 1.0) -> list[QoSCheckResult]:
-        """Per-key GETs for pre-batch routers, on one persistent
-        connection (:meth:`check_detailed` reuses the thread-local
-        keep-alive socket, so the whole batch costs N pipelined requests
-        on a single connection instead of a reconnect per batch)."""
-        return [self.check_detailed(key, cost) for key in keys]
 
     def check_many(self, keys: Sequence[str], cost: float = 1.0) -> list[bool]:
         """Batch form of :meth:`check`: one verdict per key, in order."""

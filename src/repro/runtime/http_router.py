@@ -14,8 +14,7 @@ items routed to the same backend share one protocol-v2 frame — and answers
 HTTP hop across many QoS keys.
 
 ``GET /healthz`` answers 200 (load-balancer health checks) with a
-liveness summary: wire mode, backend count, and the channel's queue
-depths when channel mode is active.
+liveness summary: backend count and the channel's queue depths.
 
 Observability endpoints (see ``docs/OPERATIONS.md``):
 
@@ -33,29 +32,16 @@ requests arriving untraced are head-sampled at
 ``RouterConfig.trace_sample_rate``.  Either way the response body gains
 a ``"trace"`` field carrying the id to query.
 
-The wire path behind both endpoints is selected by
-``RouterConfig.wire_mode``:
-
-- ``"channel"`` (default) — one shared non-blocking UDP channel per
-  backend, driven by a selectors event thread that batches concurrent
-  requests into protocol-v2 frames and runs retries off a timer wheel
-  (:mod:`repro.runtime.udp_channel`);
-- ``"thread"`` — the seed path: each handler thread keeps a private
-  blocking UDP socket (``threading.local``) and exchanges one datagram
-  per check, with stale responses discarded by request-id matching;
-- ``"auto"`` — per-call choice: the blocking path while the router is
-  nearly idle (a lone client pays less on a private socket than through
-  the shared event loop — the BENCH_wirepath 1-client case), the
-  channel path as soon as a batch or concurrent requests reach
-  ``RouterConfig.auto_channel_threshold`` and frame-sharing starts
-  paying for itself.
+Behind both endpoints is one wire path: a shared non-blocking UDP
+channel per backend, driven by a selectors event thread that batches
+concurrent requests into protocol-v2 frames and runs retries off a timer
+wheel (:mod:`repro.runtime.udp_channel`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -63,9 +49,8 @@ from typing import Callable, Optional, Sequence
 from urllib.parse import parse_qs, urlparse
 
 from repro.core.config import RouterConfig
-from repro.core.errors import ProtocolError
 from repro.core.hashing import crc32_router
-from repro.core.protocol import QoSRequest, QoSResponse, RequestIdGenerator, decode
+from repro.core.protocol import QoSResponse
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.recorder import global_flight_recorder
 from repro.obs.tracing import (
@@ -114,8 +99,6 @@ class RequestRouterDaemon:
                               if len(self.qos_servers) == 1 else None)
         self.config = config or RouterConfig(udp_timeout=0.05)
         self.name = name
-        self._ids = RequestIdGenerator()
-        self._local = threading.local()
         # The observability plane: one registry per router daemon (tests
         # spin several routers per process, so a process-global registry
         # would cross-contaminate), one process-wide tracer/buffer (a
@@ -131,15 +114,9 @@ class RequestRouterDaemon:
         self._m_defaults = self.metrics.counter(
             "janus_router_default_replies_total",
             "Checks answered by the default reply", **labels)
-        # Thread-mode retries are incremented by handler threads; channel
-        # retries live in the channel stats, so the exported family is a
-        # callback over the merged property.
-        self._m_thread_retries = self.metrics.counter(
-            "janus_router_thread_retries_total",
-            "Seed-path (thread-mode) datagram re-sends", **labels)
         self.metrics.counter(
             "janus_router_udp_retries_total",
-            "Datagram re-sends across both wire modes",
+            "Datagram re-sends on the channel's timer wheel",
             fn=lambda: self.retries, **labels)
         self.metrics.gauge(
             "janus_router_backends", "Configured QoS-server backends",
@@ -153,12 +130,6 @@ class RequestRouterDaemon:
             "janus_router_request_seconds",
             "Admission-check latency through the router (wire exchange)",
             scale=1e-9, **labels)
-        self._m_auto_channel = self.metrics.counter(
-            "janus_router_auto_channel_total",
-            "Auto wire-mode calls routed over the channel path", **labels)
-        self._m_auto_thread = self.metrics.counter(
-            "janus_router_auto_thread_total",
-            "Auto wire-mode calls routed over the blocking path", **labels)
         #: Committed topology epoch (0 until the first live reshard) and
         #: the number of backend-map changes applied, both exported.
         self.topology_epoch = 0
@@ -175,20 +146,13 @@ class RequestRouterDaemon:
         #: (``{"action": "add"|"remove"|"status", ...} -> dict``); the
         #: endpoint answers 404 until something wires it.
         self.reshard_control: "Optional[Callable[[dict], dict]]" = None
-        #: Requests currently inside an exchange — the load signal the
-        #: "auto" mode switches on.  GIL-atomic +=/-= suffices.
-        self._inflight = 0
-        self._channels: Optional[ChannelSet] = None
-        if self.config.wire_mode in ("channel", "auto"):
-            self._channels = ChannelSet(self.qos_servers, self.config,
-                                        registry=self.metrics,
-                                        tracer=self._tracer, labels=labels)
+        self._channels = ChannelSet(self.qos_servers, self.config,
+                                    registry=self.metrics,
+                                    tracer=self._tracer, labels=labels)
         # The credit-lease plane: hot keys are admitted locally from
-        # leased bucket credit (DESIGN.md).  Config validation
-        # guarantees lease_enabled implies channel/auto wire mode and
-        # protocol v2, so _channels is always present here.
+        # leased bucket credit (DESIGN.md).
         self._lease_mgr: Optional[LeaseManager] = None
-        if self.config.lease_enabled and self._channels is not None:
+        if self.config.lease_enabled:
             manager = LeaseManager(self.config, tracer=self._tracer)
             manager.send = self._channels.send_lease_frame
             manager.schedule = self._channels.call_later
@@ -406,8 +370,7 @@ class RequestRouterDaemon:
 
     def start(self) -> "RequestRouterDaemon":
         if self._thread is None:
-            if self._channels is not None:
-                self._channels.start()
+            self._channels.start()
             self._thread = threading.Thread(
                 target=self._server.serve_forever, name=self.name, daemon=True)
             self._thread.start()
@@ -419,8 +382,7 @@ class RequestRouterDaemon:
             self._server.server_close()
             self._thread.join(timeout=2.0)
             self._thread = None
-            if self._channels is not None:
-                self._channels.stop()
+            self._channels.stop()
 
     def __enter__(self) -> "RequestRouterDaemon":
         return self.start()
@@ -436,30 +398,26 @@ class RequestRouterDaemon:
         Rendered from the router's :class:`MetricsRegistry` — correct
         ``# HELP``/``# TYPE`` lines, escaped labels, histogram bucket
         series — covering the request counters, the request-latency
-        histogram, and (in channel mode) every channel instrument.
+        histogram, and every channel instrument.
         """
         return self.metrics.render()
 
     def health(self) -> dict:
         """Liveness summary (served on ``GET /healthz``)."""
-        body = {
+        stats = self._channels.stats
+        channels = self._channels._channels.values()
+        return {
             "status": "ok",
             "name": self.name,
-            "wire_mode": self.config.wire_mode,
             "backends": len(self.qos_servers),
             "requests_handled": self.requests_handled,
-        }
-        if self._channels is not None:
-            stats = self._channels.stats
-            body["channel"] = {
-                "pending": sum(len(c.pending)
-                               for c in self._channels._channels.values()),
-                "inflight": sum(len(c.inflight)
-                                for c in self._channels._channels.values()),
+            "channel": {
+                "pending": sum(len(c.pending) for c in channels),
+                "inflight": sum(len(c.inflight) for c in channels),
                 "default_replies": stats.default_replies,
                 "send_errors": stats.send_errors,
-            }
-        return body
+            },
+        }
 
     @property
     def requests_handled(self) -> int:
@@ -471,11 +429,7 @@ class RequestRouterDaemon:
 
     @property
     def retries(self) -> int:
-        # Channel-mode retries happen on the event thread, not in any
-        # handler thread's counter.
-        channel_retries = (self._channels.stats.retries
-                           if self._channels is not None else 0)
-        return int(self._m_thread_retries.value) + channel_retries
+        return self._channels.stats.retries
 
     def stats(self) -> dict:
         """Operational counters (served on ``GET /stats``)."""
@@ -485,11 +439,9 @@ class RequestRouterDaemon:
             "default_replies": self.default_replies,
             "retries": self.retries,
             "backends": len(self.qos_servers),
-            "wire_mode": self.config.wire_mode,
             "traces_started": self._traces_started,
+            "channel": self._channels.stats.as_dict(),
         }
-        if self._channels is not None:
-            stats["channel"] = self._channels.stats.as_dict()
         if self._lease_mgr is not None:
             stats["lease"] = self._lease_mgr.stats()
         return stats
@@ -531,18 +483,16 @@ class RequestRouterDaemon:
         if not new_servers:
             raise ValueError("topology needs at least one backend")
         old_servers = {tuple(addr) for addr in self.qos_servers}
-        if self._channels is not None:
-            for addr in new_servers:
-                if addr not in old_servers:
-                    self._channels.add_backend(addr)
+        for addr in new_servers:
+            if addr not in old_servers:
+                self._channels.add_backend(addr)
         self.qos_servers = new_servers
         self._sole_backend = (new_servers[0]
                               if len(new_servers) == 1 else None)
         self.topology_epoch = epoch
         self.remap_total += 1
-        if self._channels is not None:
-            for addr in old_servers.difference(new_servers):
-                self._channels.retire_backend(addr)
+        for addr in old_servers.difference(new_servers):
+            self._channels.retire_backend(addr)
         dropped = (self._lease_mgr.drop_moved(self.route)
                    if self._lease_mgr is not None else 0)
         global_flight_recorder().note(
@@ -569,30 +519,8 @@ class RequestRouterDaemon:
             self._sole_backend = new_t
         if changed:
             self.remap_total += 1
-            if self._channels is not None:
-                self._channels.replace_backend(old_t, new_t)
+            self._channels.replace_backend(old_t, new_t)
         return changed
-
-    def _use_channel(self, n_items: int) -> bool:
-        """Pick the wire path for one call.
-
-        ``"channel"`` and ``"thread"`` are unconditional.  ``"auto"``
-        takes the channel only when there is concurrency to amortize —
-        a batch of at least ``auto_channel_threshold`` items, or that
-        many requests currently in flight through this router — because
-        a lone request is faster on the seed blocking path than through
-        the shared event loop (the BENCH_wirepath 1-client regression).
-        """
-        if self._channels is None:
-            return False
-        if self.config.wire_mode == "channel":
-            return True
-        threshold = self.config.auto_channel_threshold
-        if n_items >= threshold or self._inflight >= threshold:
-            self._m_auto_channel.inc()
-            return True
-        self._m_auto_thread.inc()
-        return False
 
     def _resolve_trace_id(self, trace_id: int) -> int:
         """Honour a client-supplied id; head-sample untraced arrivals."""
@@ -603,7 +531,7 @@ class RequestRouterDaemon:
 
     def qos_exchange(self, key: str, cost: float = 1.0,
                      trace_id: int = 0) -> tuple[QoSResponse, int]:
-        """One admission check over the configured wire path."""
+        """One admission check over the channel."""
         response, attempts, _ = self.qos_exchange_traced(key, cost, trace_id)
         return response, attempts
 
@@ -632,16 +560,8 @@ class RequestRouterDaemon:
         if leased:
             response, attempts = _LEASE_ADMIT, 0
         else:
-            self._inflight += 1
-            try:
-                if self._use_channel(1):
-                    response, attempts = self._channels.exchange(
-                        self.route(key), key, cost, trace_id)
-                else:
-                    response, attempts = self._qos_exchange_blocking(key,
-                                                                     cost)
-            finally:
-                self._inflight -= 1
+            response, attempts = self._channels.exchange(
+                self.route(key), key, cost, trace_id)
         self._m_latency.record(time.perf_counter_ns() - start_ns)
         self._m_requests.inc()
         if response.is_default_reply:
@@ -663,9 +583,8 @@ class RequestRouterDaemon:
     ) -> list[tuple[QoSResponse, int]]:
         """Resolve many checks at once (the ``POST /qos/batch`` core).
 
-        In channel mode all items are submitted in one pass, so items
-        hashing to the same backend share a single v2 frame; in thread
-        mode they degrade to sequential single exchanges.
+        All items are submitted in one pass, so items hashing to the
+        same backend share a single v2 frame.
         """
         results, _ = self.qos_exchange_many_traced(items, trace_id)
         return results
@@ -700,18 +619,8 @@ class RequestRouterDaemon:
             wire = [(index, key, cost)
                     for index, (key, cost) in enumerate(items)]
         if wire:
-            self._inflight += 1
-            try:
-                if self._use_channel(len(wire)):
-                    checks = [(self.route(key), key, cost)
-                              for _, key, cost in wire]
-                    exchanged = self._channels.exchange_many(checks,
-                                                             trace_id)
-                else:
-                    exchanged = [self._qos_exchange_blocking(key, cost)
-                                 for _, key, cost in wire]
-            finally:
-                self._inflight -= 1
+            checks = [(self.route(key), key, cost) for _, key, cost in wire]
+            exchanged = self._channels.exchange_many(checks, trace_id)
             for (index, _, _), result in zip(wire, exchanged):
                 results[index] = result
         self._m_latency.record(time.perf_counter_ns() - start_ns)
@@ -725,44 +634,3 @@ class RequestRouterDaemon:
         if outer is not None:
             tracer.finish(outer)
         return results, trace_id
-
-    # ------------------------------------------------------------------ #
-    # seed wire path ("thread" mode): per-thread blocking sockets
-    # ------------------------------------------------------------------ #
-
-    def _socket(self) -> socket.socket:
-        sock = getattr(self._local, "sock", None)
-        if sock is None:
-            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-            self._local.sock = sock
-        return sock
-
-    def _qos_exchange_blocking(self, key: str,
-                               cost: float = 1.0) -> tuple[QoSResponse, int]:
-        """The §III-B UDP loop; returns (response, attempts)."""
-        request = QoSRequest(self._ids.next_id(), key, cost)
-        datagram = request.encode()
-        target = self.route(key)
-        sock = self._socket()
-        sock.settimeout(self.config.udp_timeout)
-        retries = self._m_thread_retries
-        for attempt in range(1, self.config.max_retries + 1):
-            if attempt > 1:
-                retries.inc()
-            sock.sendto(datagram, target)
-            try:
-                while True:
-                    data, _ = sock.recvfrom(8192)
-                    try:
-                        message = decode(data)
-                    except ProtocolError:
-                        continue
-                    if (isinstance(message, QoSResponse)
-                            and message.request_id == request.request_id):
-                        return message, attempt
-                    # Stale response from a previous request on this
-                    # thread's socket: keep waiting within the timeout.
-            except socket.timeout:
-                continue
-        return QoSResponse(request.request_id, self.config.default_reply,
-                           is_default_reply=True), self.config.max_retries

@@ -7,21 +7,10 @@ a disjoint CRC32 shard range — ``crc32(key) % N == i`` — with its own
 loop, and metrics registry, so the workers share nothing and the GIL
 stops being the node's ceiling.
 
-Two UDP fan-in modes (``ProcPlaneConfig.fanin``):
-
-``"portmap"`` (default, hop-free)
-    Every worker binds its own port; the supervisor publishes the
-    ordered per-shard port map to the router, whose CRC32 partitioner
-    then picks the owning worker's port directly.  Zero cross-process
-    hops on the hot path.
-
-``"reuseport"``
-    All workers additionally bind one shared ``SO_REUSEPORT`` port; the
-    kernel spreads incoming frames across them, and each worker splits
-    received frames by owner, deciding its own share and forwarding the
-    rest to the owning sibling inside a small envelope
-    (:data:`~repro.runtime.procplane.worker.FORWARD_MAGIC`).  The
-    sibling replies to the router directly.
+UDP fan-in is a port map: every worker binds its own port, and the
+supervisor publishes the ordered per-shard port map to the router, whose
+CRC32 partitioner then picks the owning worker's port directly.  Zero
+cross-process hops on the hot path.
 
 Ownership is advisory — a worker decides *any* key it is handed — so
 restart windows and stray frames degrade to correct-but-unsharded
@@ -30,20 +19,14 @@ behaviour instead of errors.
 
 from repro.runtime.procplane.supervisor import ProcPlaneNode
 from repro.runtime.procplane.worker import (
-    FORWARD_MAGIC,
     ShardWorkerDaemon,
     WorkerSpec,
-    pack_forward,
-    unpack_forward,
     worker_main,
 )
 
 __all__ = [
-    "FORWARD_MAGIC",
     "ProcPlaneNode",
     "ShardWorkerDaemon",
     "WorkerSpec",
-    "pack_forward",
-    "unpack_forward",
     "worker_main",
 ]

@@ -3,10 +3,9 @@
 The supervisor spawns ``N`` :func:`~repro.runtime.procplane.worker.worker_main`
 processes (``spawn`` start method — fork after the parent has started
 threads is not safe), tracks their health over duplex pipes, and
-presents the node as one unit: an ordered per-shard port map (or the
-single shared ``SO_REUSEPORT`` address), merged ``/metrics`` text,
-aggregated ``/stats``, ``/flight`` and trace views, and a drain-first
-``stop()``.
+presents the node as one unit: an ordered per-shard port map, merged
+``/metrics`` text, aggregated ``/stats``, ``/flight`` and trace views,
+and a drain-first ``stop()``.
 
 Concurrency discipline: the monitor thread is the *sole* pipe user once
 the node is started.  Other threads never touch a pipe — they append
@@ -54,7 +53,6 @@ class _WorkerHandle:
     process: object = None
     conn: object = None
     port: int = 0
-    fanin_port: int = 0
     pid: int = 0
     last_heartbeat: float = 0.0
     last_decisions: int = 0
@@ -73,9 +71,7 @@ class ProcPlaneNode:
     *global* shard space so several multi-process nodes can share one
     router CRC32 partitioner: node ``i`` of a cluster with ``P``
     processes each uses ``shard_base = i * P`` and
-    ``shard_total = n_nodes * P``.  ``"reuseport"`` fan-in requires the
-    node to own the whole space (single-node), because kernel spreading
-    cannot respect a partial range.
+    ``shard_total = n_nodes * P``.
 
     ``on_remap(shard_index, old_addr, new_addr)`` fires when a restarted
     worker could not rebind its previous port and came back elsewhere —
@@ -109,16 +105,10 @@ class ProcPlaneNode:
             raise ConfigurationError(
                 f"shard range [{shard_base}, {shard_base + self.n_workers})"
                 f" does not fit in {self.shard_total} shards")
-        if self.plane.fanin == "reuseport" and (
-                shard_base != 0 or self.shard_total != self.n_workers):
-            raise ConfigurationError(
-                "reuseport fan-in requires the node to own the whole shard"
-                " space (single-node); use portmap for multi-node clusters")
         self.rules: "tuple[QoSRule, ...]" = tuple(rules)
         self.host = host
         self.name = name
         self.on_remap = on_remap
-        self.node_port = 0          # shared fan-in port (reuseport mode)
         self.restarts_total = 0
         self._handles: "list[_WorkerHandle]" = []
         self._ctx = get_context("spawn")
@@ -152,28 +142,15 @@ class ProcPlaneNode:
             return self
         self._started = True
         try:
-            if self.plane.fanin == "reuseport":
-                # Worker 0 binds the shared port ephemeral and reports
-                # it; siblings then bind the same concrete port.
-                first = self._spawn(self._make_spec(0))
-                self._await_ready(first)
-                self.node_port = first.fanin_port
-                self._handles.append(first)
-                rest = [self._spawn(self._make_spec(i))
-                        for i in range(1, self.n_workers)]
-            else:
-                rest = [self._spawn(self._make_spec(i))
-                        for i in range(self.n_workers)]
-            for handle in rest:
+            spawned = [self._spawn(self._make_spec(i))
+                       for i in range(self.n_workers)]
+            for handle in spawned:
                 self._await_ready(handle)
                 self._handles.append(handle)
         except Exception:
             self._kill_all()
             self._started = False
             raise
-        self._handles.sort(key=lambda h: h.local_index)
-        if self.plane.fanin == "reuseport":
-            self._broadcast_ports_direct()
         self._monitor = threading.Thread(
             target=self._monitor_loop, name=f"{self.name}.monitor",
             daemon=True)
@@ -231,8 +208,6 @@ class ProcPlaneNode:
             name=f"{self.name}-w{local_index}",
             host=self.host,
             port=port,
-            node_port=self.node_port,
-            fanin=self.plane.fanin,
             server=self.config,
             plane=self.plane,
             rules=self.rules,
@@ -260,9 +235,8 @@ class ProcPlaneNode:
                 except (EOFError, OSError):
                     break
                 if message[0] == "ready":
-                    _, _shard, port, fanin_port, pid = message
+                    _, _shard, port, pid = message
                     handle.port = port
-                    handle.fanin_port = fanin_port
                     handle.pid = pid
                     handle.last_heartbeat = time.monotonic()
                     handle.exited = False
@@ -275,19 +249,6 @@ class ProcPlaneNode:
         raise ConfigurationError(
             f"{handle.spec.name} did not become ready within"
             f" {self.plane.spawn_timeout}s")
-
-    def _broadcast_ports_direct(self) -> None:
-        """Send the port map before the monitor thread exists (startup)."""
-        ports = self._global_port_list()
-        for handle in self._handles:
-            handle.conn.send(("portmap", ports))
-
-    def _global_port_list(self) -> "list[int]":
-        """Per-shard private ports indexed by *global* shard index."""
-        ports = [0] * self.shard_total
-        for handle in self._handles:
-            ports[handle.spec.shard_index] = handle.port
-        return ports
 
     # ------------------------------------------------------------------ #
     # Monitor thread: sole pipe user after start()
@@ -399,7 +360,6 @@ class ProcPlaneNode:
             handle.process = fresh.process
             handle.conn = fresh.conn
             handle.pid = fresh.pid
-            handle.fanin_port = fresh.fanin_port
             handle.exited = False
             handle.outbox.clear()
             remapped = fresh.port != old_addr[1]
@@ -408,11 +368,6 @@ class ProcPlaneNode:
                 "worker_restarted", node=self.name,
                 shard=handle.spec.shard_index, pid=handle.pid,
                 remapped=remapped, reseeded=len(seed))
-            if self.plane.fanin == "reuseport":
-                ports = self._global_port_list()
-                for sibling in self._handles:
-                    if not sibling.exited and not sibling.failed:
-                        sibling.outbox.append(("portmap", ports))
             if remapped and self.on_remap is not None:
                 self.on_remap(handle.spec.shard_index, old_addr,
                               (self.host, handle.port))
@@ -444,13 +399,10 @@ class ProcPlaneNode:
     def backend_addresses(self) -> "list[tuple[str, int]]":
         """What the router should route to.
 
-        Port-map mode: one address per shard, in shard order, so the
-        router's ``CRC32(key) % n`` partitioner lands every key on its
-        owning worker directly.  Reuseport mode: the single shared
-        address; the kernel spreads frames.
+        One address per shard, in shard order, so the router's
+        ``CRC32(key) % n`` partitioner lands every key on its owning
+        worker directly.
         """
-        if self.plane.fanin == "reuseport":
-            return [(self.host, self.node_port)]
         return self.port_map()
 
     def put_rules(self, rules: "Iterable[QoSRule]") -> None:
@@ -478,11 +430,6 @@ class ProcPlaneNode:
             raise ConfigurationError(
                 f"shard range [{shard_base}, {shard_base + self.n_workers})"
                 f" does not fit in {shard_total} shards")
-        if self.plane.fanin == "reuseport" and (
-                shard_base != 0 or shard_total != self.n_workers):
-            raise ConfigurationError(
-                "reuseport fan-in requires the node to own the whole shard"
-                " space; it cannot be retargeted to a partial range")
         self.shard_base = shard_base
         self.shard_total = shard_total
         for handle in self._handles:
@@ -534,7 +481,6 @@ class ProcPlaneNode:
         }
         return {
             "name": self.name,
-            "fanin": self.plane.fanin,
             "n_workers": self.n_workers,
             "workers_alive": self._alive_count(),
             "restarts": self.restarts_total,

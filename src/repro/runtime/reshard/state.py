@@ -52,9 +52,8 @@ class ReshardState:
 
     def __init__(self, address: "tuple[str, int]", *,
                  default_verdict: bool = True):
-        #: The address routers aim at this backend — a worker's private
-        #: port in portmap mode, the shared fan-in address in reuseport
-        #: mode (node-granularity ownership there).
+        #: The address routers aim at this backend (for a multi-process
+        #: node, the worker's private port).
         self.address = tuple(address)
         #: Verdict carried by transfer-window default replies.  Matches
         #: the router's fail-open default so the degradation model is

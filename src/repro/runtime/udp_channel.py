@@ -1,10 +1,10 @@
-"""Multiplexed router↔QoS-server UDP channels (the wire path, rebuilt).
+"""Multiplexed router↔QoS-server UDP channels (the router's wire path).
 
-The seed wire path is literal §III-B: every HTTP handler thread owns a
-private blocking UDP socket and spends one ``sendto`` + one ``recvfrom``
-(plus a timeout arm and a thread wakeup) per admission check, so router
-throughput is capped by per-datagram syscall cost rather than by admission
-work.  This module replaces it:
+A literal §III-B router gives every HTTP handler thread a private
+blocking UDP socket and spends one ``sendto`` + one ``recvfrom`` (plus a
+timeout arm and a thread wakeup) per admission check, so router
+throughput is capped by per-datagram syscall cost rather than by
+admission work.  This module is the one wire path instead:
 
 - each backend gets **one shared non-blocking UDP socket** per router;
 - submitting threads append to the channel's send queue and flush it
@@ -23,10 +23,6 @@ work.  This module replaces it:
   no per-call ``settimeout``, no blocked thread per in-flight datagram.
   Send paths arm timers through a lock-free deque the event thread
   drains each pass, so the hot path never touches the wheel itself.
-
-``RouterConfig.wire_protocol = 1`` keeps the channel multiplexed but
-emits seed-compatible single-message v1 datagrams for v1-only servers;
-responses of either version are accepted at all times.
 """
 
 from __future__ import annotations
@@ -351,9 +347,11 @@ class ChannelSet:
         # held.  When unset, lease frames count as malformed — the
         # pre-lease behaviour.
         self._lease_listener = None
-        # Channels retired by replace_backend; their sockets stay open
-        # until stop() because armed timer entries still reference them.
-        self._retired: list[_BackendChannel] = []
+        # Channels retired by replace_backend/retire_backend (any thread
+        # appends).  The event thread closes each one's socket once it has
+        # nothing pending or in flight — no caller can still be waiting
+        # on it — and stop() closes whatever is left.
+        self._retired: deque[_BackendChannel] = deque()
         # The wheel belongs to the event thread.  Send paths arm timers
         # by appending to this deque (append/popleft are atomic, so no
         # lock rides the hot path); the event thread drains it each pass.
@@ -451,8 +449,8 @@ class ChannelSet:
         self._selector.close()
         for channel in self._channels.values():
             channel.sock.close()
-        for channel in self._retired:
-            channel.sock.close()
+        while self._retired:
+            self._retired.popleft().sock.close()
         self._wake_r.close()
         self._wake_w.close()
 
@@ -483,20 +481,22 @@ class ChannelSet:
             return old_addr in self._channels
         channels = dict(self._channels)
         retired = channels.pop(old_addr, None)
-        if retired is not None:
-            self._retired.append(retired)
         if new_addr not in channels:
             channels[new_addr] = _BackendChannel(new_addr)
         self._channels = channels
-        return retired is not None
+        if retired is None:
+            return False
+        self._retired.append(retired)
+        self._wake()
+        return True
 
     def retire_backend(self, backend: tuple[str, int]) -> bool:
         """Drop one backend channel without a replacement (reshard shrink).
 
         The channel moves to the retired list: exchanges still in
         flight toward it resolve through their armed timers (retries,
-        then default replies), and the socket is closed at
-        :meth:`stop`.  The last remaining channel is never retired —
+        then default replies), and the event thread closes the socket
+        once they have.  The last remaining channel is never retired —
         an empty channel set would strand every future submission.
         """
         addr = tuple(backend)
@@ -505,6 +505,7 @@ class ChannelSet:
             return False
         self._retired.append(channels.pop(addr))
         self._channels = channels
+        self._wake()
         return True
 
     # ------------------------------------------------------------------ #
@@ -517,9 +518,8 @@ class ChannelSet:
         """One admission check; blocks until response or default reply.
 
         Fast path of :meth:`exchange_many` for a single check — skips
-        the per-backend grouping so the lone-request latency (the idle
-        ``batch_size=1`` configuration) stays as close to the seed
-        blocking path as the multiplexed design allows.
+        the per-backend grouping to keep lone-request latency (the idle
+        ``batch_size=1`` configuration) low.
         """
         if self._stop.is_set():
             return self._dead_result()
@@ -801,8 +801,7 @@ class ChannelSet:
         pending = channel.pending
         stats = channel.stats
         inflight = channel.inflight
-        v2 = self.config.wire_protocol == 2
-        max_batch = self.config.batch_size if v2 else 1
+        max_batch = self.config.batch_size
         while pending:
             batch: list[_Exchange] = []
             size = FRAME_HEADER_BYTES
@@ -825,17 +824,11 @@ class ChannelSet:
                     size += TRACE_ID_BYTES
             if not batch:
                 return
-            if v2:
-                payload = encode_request_frame_parts(
-                    [(e.request.request_id, e.key_bytes, e.request.cost)
-                     for e in batch],
-                    trace_id=frame_tid)
-                self._batch_fill.record(len(batch))
-            else:
-                # v1 datagrams have no trace-id slot: the flag is
-                # dropped cleanly and the trace degrades to the
-                # client/router spans (documented v2→v1 interop).
-                payload = batch[0].request.encode()
+            payload = encode_request_frame_parts(
+                [(e.request.request_id, e.key_bytes, e.request.cost)
+                 for e in batch],
+                trace_id=frame_tid)
+            self._batch_fill.record(len(batch))
             try:
                 # Group-commit by design: the send happens under the
                 # channel lock so concurrent submitters coalesce into one
@@ -857,7 +850,7 @@ class ChannelSet:
                 # Backend unreachable (e.g. ECONNREFUSED on a connected
                 # UDP socket).  The attempt still counts: the timer wheel
                 # will retry and eventually issue the default reply,
-                # exactly like a lost datagram on the seed path.
+                # exactly like a lost datagram.
                 stats.send_errors += 1
             stats.frames_sent += 1
             stats.messages_sent += len(batch)
@@ -893,6 +886,8 @@ class ChannelSet:
             self.timer_wakeups += 1
             self._arm_timers()
             self._expire(time.monotonic())
+            if self._retired:
+                self._reap_retired()
         self._fail_all_pending()
 
     def _select_timeout(self) -> float:
@@ -962,6 +957,24 @@ class ChannelSet:
                         retry = True
                 if retry:
                     self._flush_locked(channel)
+
+    def _reap_retired(self) -> None:
+        """Close every retired channel with nothing left pending or in
+        flight; the rest go back on the list for a later pass.
+
+        A submitter that loaded the channel map before the swap may still
+        enqueue on a closed channel; its send fails and the exchange ends
+        as a default reply, as it would toward the removed backend.
+        """
+        retired = self._retired
+        for _ in range(len(retired)):
+            channel = retired.popleft()
+            with channel.lock:
+                idle = not channel.pending and not channel.inflight
+                if idle:
+                    channel.sock.close()
+            if not idle:
+                retired.append(channel)
 
     def _complete_default(self, channel: _BackendChannel,
                           exchange: _Exchange) -> None:

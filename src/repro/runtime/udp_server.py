@@ -18,12 +18,13 @@ responses out in one combining pass, which keeps the admission hot path
 free of syscalls between decisions.
 
 Both wire protocol versions are served on the same port, dispatched on
-the version byte: v1 single-message datagrams (the seed path) and
-protocol-v2 batch frames carrying up to ``MAX_FRAME_MESSAGES`` requests
-(sent by multiplexed router channels).  Responses mirror the request's
-version — every v2 request frame is answered with exactly one v2
-response frame, so the frame-level amortization survives the return
-path; v1 requests get v1 responses, keeping seed routers interoperable.
+the version byte: v1 single-message datagrams (the paper's one message
+per datagram) and protocol-v2 batch frames carrying up to
+``MAX_FRAME_MESSAGES`` requests (what router channels send).  Responses
+mirror the request's version — every v2 request frame is answered with
+exactly one v2 response frame, so the frame-level amortization survives
+the return path; v1 requests get v1 responses, keeping v1 clients
+interoperable.
 
 Stray or malformed datagrams on the port are counted and dropped — a
 service exposed on UDP must tolerate garbage.
@@ -94,13 +95,6 @@ class _WorkerScratch:
 class QoSServerDaemon:
     """One QoS server bound to a local UDP port."""
 
-    #: Subclass hook: a callable ``(data, addr) -> (data, addr)`` applied
-    #: to every received datagram before decoding.  ``None`` (the
-    #: default) keeps the single-process hot path branch-free beyond one
-    #: attribute load; the multi-process plane overrides it to strip the
-    #: sibling-forward envelope (see :mod:`repro.runtime.procplane`).
-    _unwrap = None
-
     def __init__(
         self,
         rule_source: RuleSource,
@@ -109,7 +103,6 @@ class QoSServerDaemon:
         port: int = 0,
         config: Optional[ServerConfig] = None,
         name: str = "qos-server",
-        reuse_port: bool = False,
         shard_range: "Optional[tuple[int, int]]" = None,
     ):
         self.config = config or ServerConfig(workers=4)
@@ -119,18 +112,9 @@ class QoSServerDaemon:
         self._dedup = (DedupCache(self.config.dedup_window)
                        if self.config.dedup_window is not None else None)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        if reuse_port:
-            if not hasattr(socket, "SO_REUSEPORT"):
-                raise OSError("SO_REUSEPORT is not available on this platform")
-            self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         self._sock.bind((host, port))
         self._sock.settimeout(self.config.recv_timeout)
         self.address: tuple[str, int] = self._sock.getsockname()
-        #: Socket responses are written to.  Defaults to the receive
-        #: socket; the reuseport shard worker points it at the shared
-        #: fan-in socket so replies carry the source address the
-        #: router's *connected* channel socket expects.
-        self.reply_sock = self._sock
         self._fifo: "queue.SimpleQueue" = queue.SimpleQueue()
         self._fifo_depth = 0            # GIL-atomic += / -= suffices
         self._stop = threading.Event()
@@ -237,17 +221,6 @@ class QoSServerDaemon:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def inject(self, data: bytes, addr: "tuple[str, int]") -> None:
-        """Queue a datagram as if the listener had received it.
-
-        Entry point for auxiliary receive paths (the ``SO_REUSEPORT``
-        fan-in thread, a sibling forward): the payload joins the same
-        FIFO, is decoded by the same workers, and is answered on the
-        daemon's socket toward ``addr``.
-        """
-        self._fifo_depth += 1
-        self._fifo.put([(data, addr)])
-
     # ------------------------------------------------------------------ #
 
     def _listener(self) -> None:
@@ -298,7 +271,7 @@ class QoSServerDaemon:
         frame earns exactly one v2 response frame; v1 requests are
         answered with v1 datagrams.  Delivery stays fire-and-forget.
         """
-        sock = self.reply_sock
+        sock = self._sock
         scratch = _WorkerScratch()
         while True:
             item = self._fifo.get()
@@ -339,7 +312,6 @@ class QoSServerDaemon:
         check_batch = self.controller.check_batch
         dedup = self._dedup
         tracer = self._tracer
-        unwrap = self._unwrap
         reshard = self.reshard
         # One boolean read per FIFO item: outside a transfer window the
         # reshard plane costs the hot path a single branch.
@@ -348,8 +320,6 @@ class QoSServerDaemon:
         del out[:]
         malformed = 0
         for data, addr in item:
-            if unwrap is not None:
-                data, addr = unwrap(data, addr)
             try:
                 version, trace_id, messages = decode_any_traced(data)
             except ProtocolError:
@@ -524,7 +494,7 @@ class QoSServerDaemon:
                 continue
             by_holder.setdefault(tuple(record.holder), []).append(
                 LeaseRevoke(record.lease_id, key))
-        sock = self.reply_sock
+        sock = self._sock
         for holder, revokes in by_holder.items():
             try:
                 sock.sendto(encode_lease_revoke_frame(revokes), holder)

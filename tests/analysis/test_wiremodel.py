@@ -26,7 +26,7 @@ from repro.analysis.wiremodel import (
     VALID_SEEDS,
     build_seed_corpus,
     check_doc,
-    extract_wire_model,
+    extract_protocol_model,
     find_protocol_doc,
     write_corpus,
 )
@@ -61,7 +61,7 @@ MINI_PROTOCOL = textwrap.dedent("""
 
 
 def _mini_model():
-    return extract_wire_model(ModuleSource("core/protocol.py",
+    return extract_protocol_model(ModuleSource("core/protocol.py",
                                            MINI_PROTOCOL))
 
 
@@ -92,7 +92,7 @@ def test_spec_document_shape():
 
 
 def test_real_protocol_extraction_matches_runtime_constants():
-    model = extract_wire_model(ModuleSource(
+    model = extract_protocol_model(ModuleSource(
         str(PROTOCOL_PY), PROTOCOL_PY.read_text(encoding="utf-8")))
     # Spot-check against the imported module: if the extractor ever
     # mis-folds, the static model and the runtime disagree here.
@@ -111,14 +111,14 @@ def test_real_protocol_extraction_matches_runtime_constants():
 
 def test_real_doc_agrees_with_code():
     # The acceptance gate: code and PROTOCOL.md describe one protocol.
-    model = extract_wire_model(ModuleSource(
+    model = extract_protocol_model(ModuleSource(
         str(PROTOCOL_PY), PROTOCOL_PY.read_text(encoding="utf-8")))
     drifts = check_doc(model, PROTOCOL_MD.read_text(encoding="utf-8"))
     assert drifts == []
 
 
 def test_deliberate_doc_edit_fails_the_gate():
-    model = extract_wire_model(ModuleSource(
+    model = extract_protocol_model(ModuleSource(
         str(PROTOCOL_PY), PROTOCOL_PY.read_text(encoding="utf-8")))
     doc = PROTOCOL_MD.read_text(encoding="utf-8")
     mutated = doc.replace("type 6  SNAPSHOT_XFER",
@@ -162,7 +162,7 @@ def test_find_protocol_doc_walks_up():
 
 @pytest.fixture(scope="module")
 def corpus():
-    model = extract_wire_model(ModuleSource(
+    model = extract_protocol_model(ModuleSource(
         str(PROTOCOL_PY), PROTOCOL_PY.read_text(encoding="utf-8")))
     return build_seed_corpus(model)
 
@@ -193,7 +193,7 @@ def test_seed_boundaries_come_from_the_model(corpus):
 
 
 def test_write_corpus_manifest(tmp_path, corpus):
-    model = extract_wire_model(ModuleSource(
+    model = extract_protocol_model(ModuleSource(
         str(PROTOCOL_PY), PROTOCOL_PY.read_text(encoding="utf-8")))
     target = write_corpus(model, tmp_path / "corpus")
     names = {p.stem for p in target.glob("*.bin")}

@@ -246,7 +246,7 @@ class TestShardOwnership:
             assert owners.index(True) == crc32_of(key) % 4
 
     def test_ownership_is_advisory(self, rule_source, clock):
-        # A restart window or a forwarded v1 datagram can land a key on
+        # A restart window or a reshard rollout can land a key on
         # the wrong process; the controller still decides it.
         from repro.core.admission import AdmissionController
 

@@ -43,24 +43,14 @@ class TestRouterConfig:
 
     def test_wire_defaults(self):
         config = RouterConfig()
-        assert config.wire_mode == "channel"
         assert config.batch_size == 64
-        assert config.wire_protocol == 2
         assert config.timer_tick == pytest.approx(0.005)
-
-    def test_auto_wire_mode(self):
-        config = RouterConfig(wire_mode="auto")
-        assert config.wire_mode == "auto"
-        assert config.auto_channel_threshold == 2
 
     @pytest.mark.parametrize("kwargs", [
         {"udp_timeout": 0.0},
         {"max_retries": 0},
-        {"wire_mode": "carrier-pigeon"},
         {"batch_size": 0},
-        {"wire_protocol": 3},
         {"timer_tick": 0.0},
-        {"auto_channel_threshold": 0},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -94,11 +84,9 @@ class TestServerConfig:
 class TestProcPlaneConfig:
     def test_defaults(self):
         config = ProcPlaneConfig()
-        assert config.fanin == "portmap"
         assert config.heartbeat_timeout > config.heartbeat_interval
 
     @pytest.mark.parametrize("kwargs", [
-        {"fanin": "multicast"},
         {"heartbeat_interval": 0.0},
         {"heartbeat_timeout": 0.0},
         {"snapshot_interval": 0.0},

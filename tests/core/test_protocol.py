@@ -25,7 +25,6 @@ from repro.core.protocol import (
     LeaseGrant,
     LeaseRequest,
     LeaseRevoke,
-    LockedRequestIdGenerator,
     QoSRequest,
     QoSResponse,
     RequestIdGenerator,
@@ -545,19 +544,6 @@ class TestLeaseFrames:
                 decode_any(mutated)
             except ProtocolError:
                 pass
-
-
-class TestLockedRequestIdGenerator:
-    def test_monotone_and_unique(self):
-        gen = LockedRequestIdGenerator()
-        ids = [gen.next_id() for _ in range(100)]
-        assert ids == sorted(ids)
-        assert len(set(ids)) == 100
-
-    def test_interchangeable_with_lock_free(self):
-        a, b = RequestIdGenerator(start=5), LockedRequestIdGenerator(start=5)
-        assert [a.next_id() for _ in range(10)] == \
-            [b.next_id() for _ in range(10)]
 
 
 class TestReshardFrames:

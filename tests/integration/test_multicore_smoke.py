@@ -1,14 +1,13 @@
 """CI smoke: a 2-worker-process cluster, traced end-to-end, port-map.
 
 Boots a LocalCluster whose single QoS node runs as a supervisor plus two
-shared-nothing worker processes in port-map fan-in mode, drives real
+shared-nothing worker processes behind a per-shard port map, drives real
 checks through the load balancer and router, then asserts the two
 properties the multi-process plane promises:
 
 - **hop-free hot path** — a traced check's span tree shows exactly one
-  ``server.decide`` and the worker counters show zero cross-process
-  forwards: the router's CRC32 partitioner delivered the frame straight
-  to the owning worker process;
+  ``server.decide``: the router's CRC32 partitioner delivered the frame
+  straight to the owning worker process;
 - **aggregation** — per-worker metrics, stats, and decision counts roll
   up correctly into the node and cluster views.
 """
@@ -32,8 +31,7 @@ def multicore_cluster():
     cluster = LocalCluster(
         n_routers=1, n_qos_servers=1,
         server_config=ServerConfig(workers=2, processes=2),
-        router_config=RouterConfig(udp_timeout=0.5, max_retries=3,
-                                   wire_mode="channel"))
+        router_config=RouterConfig(udp_timeout=0.5, max_retries=3))
     for i in range(N_KEYS):
         cluster.rules.put_rule(QoSRule(
             f"tenant:{i}", refill_rate=100_000.0, capacity=1_000_000.0))
@@ -68,13 +66,11 @@ def test_multicore_cluster_smoke(multicore_cluster):
         f"expected exactly one server.decide span, got "
         f"{[s['name'] for s in spans]}")
 
-    # The hot path took zero cross-process hops, and both workers made
-    # real decisions (CRC32 spread the 8 tenants across both shards).
+    # Both workers made real decisions (CRC32 spread the 8 tenants
+    # across both shards).
     workers = cluster.stats()["qos_servers"][0]["workers"]
     assert len(workers) == 2
     for worker in workers:
-        assert worker["forwarded_in"] == 0
-        assert worker["forwarded_out"] == 0
         assert worker["decisions"] > 0
     assert sum(w["decisions"] for w in workers) >= N_CHECKS + 1
     assert cluster.total_decisions() >= N_CHECKS + 1

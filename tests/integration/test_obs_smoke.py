@@ -29,8 +29,7 @@ KEYS_PER_REQUEST = 4
 def traced_cluster():
     cluster = LocalCluster(
         n_routers=1, n_qos_servers=2,
-        router_config=RouterConfig(udp_timeout=0.5, max_retries=3,
-                                   wire_mode="channel"),
+        router_config=RouterConfig(udp_timeout=0.5, max_retries=3),
         server_config=ServerConfig(workers=2))
     with cluster:
         for i in range(KEYS_PER_REQUEST):

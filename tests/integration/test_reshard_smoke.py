@@ -34,8 +34,7 @@ DENY_KEY = "tenant:blocked"
 def cluster():
     cluster = LocalCluster(
         n_routers=1, n_qos_servers=2,
-        router_config=RouterConfig(udp_timeout=0.5, max_retries=3,
-                                   wire_mode="channel", wire_protocol=2),
+        router_config=RouterConfig(udp_timeout=0.5, max_retries=3),
         server_config=ServerConfig(workers=2))
     for key in KEYS:
         cluster.rules.put_rule(QoSRule(key, refill_rate=1e6, capacity=1e6))

@@ -164,30 +164,6 @@ class TestLoadtestCommand:
         assert "30 allowed, 30 denied" in out
 
 
-class TestBenchWirepathCommand:
-    def test_smoke_run_writes_report(self, tmp_path, capsys):
-        # A toy matrix: enough to exercise both wire modes end to end
-        # and the JSON artifact, small enough for CI.
-        out_path = tmp_path / "BENCH_wirepath.json"
-        code = main(["bench-wirepath", "--out", str(out_path),
-                     "--clients", "1", "--checks", "40", "--batch", "8",
-                     "--keys-per-call", "8", "--repeats", "1"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "speedup @1 clients:" in out
-        assert f"wrote {out_path}" in out
-        report = json.loads(out_path.read_text())
-        modes = {(p["mode"], p["surface"]) for p in report["points"]}
-        assert ("thread", "wire") in modes
-        assert ("channel", "wire") in modes
-        assert ("channel", "http") in modes
-
-    def test_rejects_bad_arguments(self, capsys):
-        assert main(["bench-wirepath", "--checks", "0"]) == 2
-        assert main(["bench-wirepath", "--clients", "0"]) == 2
-        assert "must be >= 1" in capsys.readouterr().err
-
-
 class TestBenchMulticoreCommand:
     def test_smoke_run_writes_report(self, tmp_path, capsys):
         # A toy sweep: one single-process and one 2-process point, enough

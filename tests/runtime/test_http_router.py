@@ -198,7 +198,9 @@ class TestBatchEndpoint:
 
 
 class TestWireModes:
-    def _stack(self, wire_mode, n_servers=2):
+    """The channel wire path behind both HTTP endpoints."""
+
+    def _stack(self, n_servers=2):
         source = InMemoryRuleSource({
             "alice": QoSRule("alice", refill_rate=1000.0, capacity=10_000.0),
             "empty": QoSRule("empty", refill_rate=0.0, capacity=0.0),
@@ -207,8 +209,7 @@ class TestWireModes:
                    for i in range(n_servers)]
         router = RequestRouterDaemon(
             [s.address for s in servers],
-            config=RouterConfig(udp_timeout=0.5, max_retries=3,
-                                wire_mode=wire_mode)).start()
+            config=RouterConfig(udp_timeout=0.5, max_retries=3)).start()
         return router, servers
 
     def _teardown(self, router, servers):
@@ -216,9 +217,8 @@ class TestWireModes:
         for s in servers:
             s.stop()
 
-    @pytest.mark.parametrize("wire_mode", ["thread", "channel"])
-    def test_get_and_batch_work_in_both_modes(self, wire_mode):
-        router, servers = self._stack(wire_mode)
+    def test_get_and_batch_work(self):
+        router, servers = self._stack()
         try:
             status, payload = get_json(f"{router.url}/qos?key=alice")
             assert status == 200 and payload["allow"]
@@ -229,53 +229,20 @@ class TestWireModes:
         finally:
             self._teardown(router, servers)
 
-    def test_stats_expose_wire_mode_and_channel_counters(self):
-        router, servers = self._stack("channel")
+    def test_stats_expose_channel_counters(self):
+        router, servers = self._stack()
         try:
             get_json(f"{router.url}/qos?key=alice")
             stats = router.stats()
-            assert stats["wire_mode"] == "channel"
             assert stats["channel"]["messages_sent"] >= 1
             assert stats["channel"]["responses_matched"] >= 1
-        finally:
-            self._teardown(router, servers)
-
-    def test_thread_mode_has_no_channel_stats(self):
-        router, servers = self._stack("thread")
-        try:
-            get_json(f"{router.url}/qos?key=alice")
-            stats = router.stats()
-            assert stats["wire_mode"] == "thread"
-            assert "channel" not in stats
-        finally:
-            self._teardown(router, servers)
-
-    def test_auto_mode_picks_surface_by_batch_size(self):
-        # "auto": a lone GET rides the seed thread path (no frame
-        # overhead for a single key), a batch at or over the threshold
-        # rides the multiplexed channel; both counters tell the story.
-        router, servers = self._stack("auto")
-        try:
-            status, payload = get_json(f"{router.url}/qos?key=alice")
-            assert status == 200 and payload["allow"]
-            status, payload = post_json(f"{router.url}/qos/batch", {
-                "items": [{"key": "alice"}, {"key": "empty"}]})
-            assert status == 200
-            assert [r["allow"] for r in payload["results"]] == [True, False]
-            stats = router.stats()
-            assert stats["wire_mode"] == "auto"
-            # The channel exists (and is counted) in auto mode.
-            assert stats["channel"]["messages_sent"] >= 2
-            metrics = router.metrics.render()
-            assert "janus_router_auto_thread_total" in metrics
-            assert "janus_router_auto_channel_total" in metrics
         finally:
             self._teardown(router, servers)
 
     def test_batch_spans_partitions(self):
         # Keys routed to different backends still come back in order
         # from one POST (the channel set fans out per backend).
-        router, servers = self._stack("channel", n_servers=3)
+        router, servers = self._stack(n_servers=3)
         try:
             source_keys = [f"tenant:{i}" for i in range(30)]
             status, payload = post_json(f"{router.url}/qos/batch", {

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.core.config import RouterConfig
+from repro.core.errors import CommunicationError
 from repro.core.rules import QoSRule
 from repro.runtime.client import QoSClient
 from repro.runtime.cluster import LocalCluster
@@ -129,126 +129,50 @@ class TestBatchAndInterop:
     def test_check_many_empty(self, cluster):
         assert cluster.client().check_many([]) == []
 
-    def test_check_many_falls_back_without_batch_endpoint(self):
-        # Against a pre-batch router (405 on POST /qos/batch) the client
-        # degrades to per-key GETs instead of failing the whole batch.
+    def test_check_many_raises_without_batch_endpoint(self):
+        # Every router serves POST /qos/batch; an endpoint that answers
+        # it with 404 or 405 is an error like any other non-200 status.
         import http.server
-        import json as _json
-        import threading as _threading
+        import json
 
-        class PreBatchRouter(http.server.BaseHTTPRequestHandler):
-            def _send(self, status, body):
-                payload = _json.dumps(body).encode()
-                self.send_response(status)
-                self.send_header("Content-Length", str(len(payload)))
-                self.end_headers()
-                self.wfile.write(payload)
+        statuses: list = []
 
-            def do_GET(self):
-                allow = "key=vip" in self.path
-                self._send(200, {"allow": allow, "default": False,
-                                 "attempts": 1})
-
-            def do_POST(self):
-                self._send(405, {"error": "method not allowed"})
-
-            def log_message(self, *args):
-                pass
-
-        httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0),
-                                                PreBatchRouter)
-        _threading.Thread(target=httpd.serve_forever, daemon=True).start()
-        try:
-            host, port = httpd.server_address
-            client = QoSClient(f"http://{host}:{port}")
-            assert client.check_many(["vip", "stranger", "vip"]) == \
-                [True, False, True]
-            assert client.transport_errors == 0
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
-
-    def test_fallback_reuses_one_connection_and_stops_probing(self):
-        # Regression: the per-key-GET fallback used to open a fresh TCP
-        # connection per key (the POST's error reply carries
-        # ``Connection: close``, and every GET then re-dialled), and
-        # every subsequent batch re-probed POST /qos/batch.  The client
-        # must remember the 404/405, close the doomed connection once,
-        # and run all fallback GETs over one persistent connection.
-        import http.server
-        import json as _json
-        import threading as _threading
-
-        connections: list = []
-        posts: list = []
-
-        class PreBatchRouter(http.server.BaseHTTPRequestHandler):
+        class NoBatchRouter(http.server.BaseHTTPRequestHandler):
             protocol_version = "HTTP/1.1"
 
-            def setup(self):
-                connections.append(self.client_address)
-                super().setup()
-
             def do_GET(self):
-                payload = _json.dumps({"allow": True, "default": False,
-                                       "attempts": 1}).encode()
+                payload = json.dumps({"allow": True, "default": False,
+                                      "attempts": 1}).encode()
                 self.send_response(200)
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
                 self.wfile.write(payload)
 
             def do_POST(self):
-                posts.append(self.path)
-                self.send_error(404)     # stdlib reply: Connection: close
+                self.send_error(statuses[-1])
 
             def log_message(self, *args):
                 pass
 
         httpd = http.server.ThreadingHTTPServer(("127.0.0.1", 0),
-                                                PreBatchRouter)
-        _threading.Thread(target=httpd.serve_forever, daemon=True).start()
+                                                NoBatchRouter)
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
         try:
             host, port = httpd.server_address
             client = QoSClient(f"http://{host}:{port}")
-            for _ in range(4):
-                assert client.check_many(["a", "b", "c"]) == [True] * 3
-            assert client.transport_errors == 0
-            # One probe ever: the first batch's 404 latches the flag.
-            assert len(posts) == 1
-            # Two connections total: the doomed POST's, then a single
-            # persistent one carrying all twelve fallback GETs.
-            assert len(connections) <= 2
+            for status in (404, 405):
+                statuses.append(status)
+                with pytest.raises(CommunicationError,
+                                   match=f"HTTP {status}"):
+                    client.check_many(["a", "b"])
+            # The single-key GET path is unaffected.
+            assert client.check("a")
         finally:
             httpd.shutdown()
             httpd.server_close()
 
-    def test_v1_thread_router_interoperates_with_v2_server(self):
-        # "v1 client against a v2 server": the seed thread-socket router
-        # speaks one v1 datagram per check to servers that also accept
-        # v2 frames on the same port.
-        with LocalCluster(
-                n_routers=1, n_qos_servers=2,
-                router_config=RouterConfig(udp_timeout=0.5, max_retries=3,
-                                           wire_mode="thread")) as c:
-            c.rules.put_rule(QoSRule("vip", refill_rate=1e4, capacity=1e5))
-            assert c.qos_check("vip")
-            assert c.qos_check_many(["vip", "stranger"]) == [True, False]
-
-    def test_v1_frames_from_channel_interoperate(self):
-        # "and vice versa": a multiplexed channel constrained to emit
-        # v1 datagrams (wire_protocol=1) against the same servers.
-        with LocalCluster(
-                n_routers=1, n_qos_servers=2,
-                router_config=RouterConfig(udp_timeout=0.5, max_retries=3,
-                                           wire_mode="channel",
-                                           wire_protocol=1)) as c:
-            c.rules.put_rule(QoSRule("vip", refill_rate=1e4, capacity=1e5))
-            assert c.qos_check_many(["vip", "stranger", "vip"]) == \
-                [True, False, True]
-
     def test_stats_carry_channel_counters(self, cluster):
         cluster.qos_check_many(["vip", "vip", "stranger"])
         stats = cluster.stats()
-        assert all(r["wire_mode"] == "channel" for r in stats["routers"])
         assert sum(r["channel"]["messages_sent"]
                    for r in stats["routers"]) >= 3

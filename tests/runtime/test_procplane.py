@@ -4,12 +4,7 @@ Real processes, real loopback sockets, tight supervisor timings.  The
 contracts under test:
 
 - **port-map fan-in is hop-free** — a check routed by ``CRC32(key)``
-  lands on the owning worker process and is decided there, with the
-  forward counters staying at zero;
-- **reuseport fan-in forwards** — a frame landing on the wrong worker
-  is re-delivered to the owning sibling via the local envelope and
-  still answered (from the shared socket, so the connected client
-  accepts the reply);
+  lands on the owning worker process and is decided there;
 - **lifecycle** — SIGTERM drains in-flight frames before exit (clean
   exit codes, every pre-drain frame answered); a SIGKILLed worker is
   restarted with its bucket state re-seeded from the last snapshot and
@@ -27,15 +22,9 @@ import time
 import pytest
 
 from repro.core.config import ProcPlaneConfig, RouterConfig, ServerConfig
-from repro.core.errors import ConfigurationError
 from repro.core.hashing import crc32_router
 from repro.core.rules import QoSRule
-from repro.runtime.procplane import (
-    FORWARD_MAGIC,
-    ProcPlaneNode,
-    pack_forward,
-    unpack_forward,
-)
+from repro.runtime.procplane import ProcPlaneNode
 from repro.runtime.udp_channel import ChannelSet
 
 #: Generous rules: every admission should be a real ALLOW.
@@ -46,8 +35,7 @@ HOT_RULES = tuple(QoSRule(f"svc-{i}", refill_rate=1e9, capacity=1e9)
 FAST_PLANE = ProcPlaneConfig(heartbeat_interval=0.1, heartbeat_timeout=0.6,
                              snapshot_interval=0.15, restart_backoff=0.05)
 
-CHANNEL_CONFIG = RouterConfig(udp_timeout=0.5, max_retries=3,
-                              wire_mode="channel")
+CHANNEL_CONFIG = RouterConfig(udp_timeout=0.5, max_retries=3)
 
 
 def _wait_until(predicate, timeout: float = 10.0, step: float = 0.02):
@@ -57,21 +45,6 @@ def _wait_until(predicate, timeout: float = 10.0, step: float = 0.02):
             return True
         time.sleep(step)
     return False
-
-
-class TestForwardEnvelope:
-    def test_roundtrip(self):
-        payload = b"\x01frame-bytes"
-        data = pack_forward(payload, ("127.0.0.1", 40123))
-        assert data.startswith(FORWARD_MAGIC)
-        unwrapped = unpack_forward(data)
-        assert unwrapped == (payload, ("127.0.0.1", 40123))
-
-    def test_non_envelope_passes_through(self):
-        assert unpack_forward(b"\x01plain v1 datagram") is None
-        assert unpack_forward(b"") is None
-        # Truncated header: magic alone is not an envelope.
-        assert unpack_forward(FORWARD_MAGIC) is None
 
 
 class TestPortMap:
@@ -98,47 +71,6 @@ class TestPortMap:
             assert sum(w["decisions"] for w in workers) == 100
             for worker in workers:
                 assert worker["decisions"] > 0, "one shard got everything"
-                assert worker["forwarded_in"] == 0
-                assert worker["forwarded_out"] == 0
-
-    def test_reuseport_rejects_multi_node_shards(self):
-        with pytest.raises(ConfigurationError):
-            ProcPlaneNode(HOT_RULES,
-                          config=ServerConfig(workers=1, processes=2),
-                          plane=ProcPlaneConfig(fanin="reuseport"),
-                          name="pp-bad", shard_base=2, shard_total=4)
-
-
-class TestReuseport:
-    def test_shared_port_forwards_to_owner(self):
-        node = ProcPlaneNode(HOT_RULES,
-                             config=ServerConfig(workers=1, processes=2),
-                             plane=ProcPlaneConfig(
-                                 fanin="reuseport",
-                                 heartbeat_interval=0.1,
-                                 snapshot_interval=0.15),
-                             name="pp-reuse")
-        with node:
-            backends = node.backend_addresses()
-            assert len(backends) == 1, "reuseport fans in on one address"
-            channels = ChannelSet(backends, CHANNEL_CONFIG)
-            channels.start()
-            try:
-                for i in range(120):
-                    response, _ = channels.exchange(
-                        backends[0], f"svc-{i % 8}", 1.0)
-                    assert response.allowed
-            finally:
-                channels.stop()
-            workers = node.worker_stats()
-            # Both shards decided their own keys, wherever the kernel
-            # landed the frames; out-of-range keys took the envelope.
-            assert sum(w["decisions"] for w in workers) == 120
-            for worker in workers:
-                assert worker["decisions"] > 0
-            assert (sum(w["forwarded_in"] for w in workers)
-                    == sum(w["forwarded_out"] for w in workers))
-
 
 class TestLifecycle:
     def test_sigterm_drain_answers_inflight_frames(self):
@@ -230,8 +162,7 @@ class TestLifecycle:
                              name="pp-window")
         # One fast attempt per check: a dead backend resolves as a
         # default reply in ~100ms instead of burning the retry budget.
-        quick = RouterConfig(udp_timeout=0.1, max_retries=1,
-                             wire_mode="channel")
+        quick = RouterConfig(udp_timeout=0.1, max_retries=1)
         with node:
             backends = node.backend_addresses()
             channels = ChannelSet(backends, quick)

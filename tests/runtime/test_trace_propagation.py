@@ -21,7 +21,7 @@ from repro.runtime.http_router import RequestRouterDaemon
 from repro.runtime.udp_server import QoSServerDaemon
 
 
-def _stack(wire_mode: str, trace_sample_rate: float = 0.0):
+def _stack(trace_sample_rate: float = 0.0):
     source = InMemoryRuleSource({
         "alice": QoSRule("alice", refill_rate=1000.0, capacity=10_000.0),
     })
@@ -29,7 +29,6 @@ def _stack(wire_mode: str, trace_sample_rate: float = 0.0):
     router = RequestRouterDaemon(
         [server.address],
         config=RouterConfig(udp_timeout=0.5, max_retries=3,
-                            wire_mode=wire_mode,
                             trace_sample_rate=trace_sample_rate)).start()
     return router, server
 
@@ -46,7 +45,7 @@ class TestClientHeadedTrace:
     """The client samples, mints the id, and the layers below follow."""
 
     def test_traced_check_spans_every_layer(self):
-        router, server = _stack("channel")
+        router, server = _stack()
         try:
             client = QoSClient(router.url, trace_sample_rate=1.0)
             result = client.check_detailed("alice")
@@ -67,7 +66,7 @@ class TestClientHeadedTrace:
             server.stop()
 
     def test_trace_endpoint_serves_the_same_spans(self):
-        router, server = _stack("channel")
+        router, server = _stack()
         try:
             client = QoSClient(router.url, trace_sample_rate=1.0)
             result = client.check_detailed("alice")
@@ -83,7 +82,7 @@ class TestClientHeadedTrace:
             server.stop()
 
     def test_traced_batch_check_spans_every_layer(self):
-        router, server = _stack("channel")
+        router, server = _stack()
         try:
             client = QoSClient(router.url, trace_sample_rate=1.0)
             results = client.check_many_detailed(["alice", "alice"])
@@ -98,7 +97,7 @@ class TestClientHeadedTrace:
             server.stop()
 
     def test_unknown_trace_is_404(self):
-        router, server = _stack("channel")
+        router, server = _stack()
         try:
             status, body = get_json(
                 f"{router.url}/trace/{format_trace_id(0xDEAD)}")
@@ -108,7 +107,7 @@ class TestClientHeadedTrace:
             server.stop()
 
     def test_untraced_requests_mint_no_spans(self):
-        router, server = _stack("channel")
+        router, server = _stack()
         try:
             client = QoSClient(router.url)     # sample rate 0
             before = len(global_trace_buffer())
@@ -120,31 +119,11 @@ class TestClientHeadedTrace:
             server.stop()
 
 
-class TestV1Interop:
-    """A traced request over a v1 wire: the id is dropped cleanly."""
-
-    def test_trace_survives_as_client_and_router_spans(self):
-        router, server = _stack("thread")      # v1 datagrams, no id room
-        try:
-            client = QoSClient(router.url, trace_sample_rate=1.0)
-            result = client.check_detailed("alice")
-            assert result.allowed and result.trace_id
-            spans = global_trace_buffer().get(result.trace_id)
-            layers = {s.layer for s in spans}
-            # Client and router layers trace; the v1 hop cannot carry
-            # the id, so no channel/server spans — and no failure.
-            assert {"client", "router"} <= layers
-            assert "qos_server" not in layers
-        finally:
-            router.stop()
-            server.stop()
-
-
 class TestRouterHeadedSampling:
     """Requests arriving untraced: the router's own sampler decides."""
 
     def test_rate_zero_never_traces(self):
-        router, server = _stack("channel", trace_sample_rate=0.0)
+        router, server = _stack(trace_sample_rate=0.0)
         try:
             for _ in range(20):
                 response, _, trace_id = router.qos_exchange_traced("alice")
@@ -155,7 +134,7 @@ class TestRouterHeadedSampling:
             server.stop()
 
     def test_rate_one_traces_every_request(self):
-        router, server = _stack("channel", trace_sample_rate=1.0)
+        router, server = _stack(trace_sample_rate=1.0)
         try:
             for _ in range(10):
                 _, _, trace_id = router.qos_exchange_traced("alice")
@@ -166,7 +145,7 @@ class TestRouterHeadedSampling:
             server.stop()
 
     def test_rate_half_traces_every_second_request(self):
-        router, server = _stack("channel", trace_sample_rate=0.5)
+        router, server = _stack(trace_sample_rate=0.5)
         try:
             decisions = [router.qos_exchange_traced("alice")[2] != 0
                          for _ in range(10)]
@@ -177,7 +156,7 @@ class TestRouterHeadedSampling:
             server.stop()
 
     def test_http_surface_reports_router_sampled_trace(self):
-        router, server = _stack("channel", trace_sample_rate=1.0)
+        router, server = _stack(trace_sample_rate=1.0)
         try:
             status, body = get_json(f"{router.url}/qos?key=alice")
             assert status == 200 and body["allow"] is True
@@ -192,7 +171,7 @@ class TestRouterHeadedSampling:
     def test_client_id_wins_over_router_sampling(self):
         # A request that arrives traced must keep its id, not get a
         # fresh one from the router's sampler.
-        router, server = _stack("channel", trace_sample_rate=1.0)
+        router, server = _stack(trace_sample_rate=1.0)
         try:
             client = QoSClient(router.url, trace_sample_rate=1.0)
             result = client.check_detailed("alice")
@@ -206,7 +185,7 @@ class TestRouterHeadedSampling:
 
 class TestFlightEndpoint:
     def test_flight_dump_shape(self):
-        router, server = _stack("channel")
+        router, server = _stack()
         try:
             QoSClient(router.url, trace_sample_rate=1.0).check("alice")
             status, body = get_json(f"{router.url}/flight")

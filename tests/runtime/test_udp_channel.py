@@ -4,12 +4,13 @@ Covers the :class:`~repro.runtime.udp_channel.TimerWheel` in isolation
 (including the full-revolution scheduling regression and live-deadline
 ``peek``), then drives :class:`~repro.runtime.udp_channel.ChannelSet`
 against a real :class:`~repro.runtime.udp_server.QoSServerDaemon` on
-loopback: single exchanges, batched frames, concurrency, protocol-v1
-fallback, dead-backend retry/default-reply semantics, and shutdown.
+loopback: single exchanges, batched frames, concurrency, dead-backend
+retry/default-reply semantics, backend mutation, and shutdown.
 """
 
 from __future__ import annotations
 
+import os
 import socket
 import threading
 import time
@@ -99,7 +100,7 @@ def server(rules):
 
 
 def make_channels(server, **overrides) -> ChannelSet:
-    defaults = dict(udp_timeout=0.5, max_retries=2, wire_mode="channel")
+    defaults = dict(udp_timeout=0.5, max_retries=2)
     defaults.update(overrides)
     return ChannelSet([server.address],
                       config=RouterConfig(**defaults)).start()
@@ -172,19 +173,6 @@ class TestExchange:
         finally:
             channels.stop()
 
-    def test_v1_wire_protocol_mode(self, server):
-        # wire_protocol=1: the channel multiplexes but sends one v1
-        # datagram per request — interop with pre-v2 servers.
-        channels = make_channels(server, wire_protocol=1, batch_size=64)
-        try:
-            results = channels.exchange_many(
-                [(server.address, "alice", 1.0) for _ in range(10)])
-            assert all(r.allowed for r, _ in results)
-            stats = channels.stats
-            assert stats.frames_sent == stats.messages_sent == 10
-        finally:
-            channels.stop()
-
     def test_needs_a_backend(self):
         with pytest.raises(ValueError):
             ChannelSet([], config=RouterConfig(udp_timeout=0.1))
@@ -202,7 +190,7 @@ class TestFailureSemantics:
     def test_dead_backend_default_reply_after_retries(self):
         address = self._dead_address()
         config = RouterConfig(udp_timeout=0.05, max_retries=2,
-                              default_reply=True, wire_mode="channel")
+                              default_reply=True)
         channels = ChannelSet([address], config=config).start()
         try:
             t0 = time.monotonic()
@@ -224,7 +212,7 @@ class TestFailureSemantics:
     def test_default_reply_fail_closed(self):
         address = self._dead_address()
         config = RouterConfig(udp_timeout=0.05, max_retries=1,
-                              default_reply=False, wire_mode="channel")
+                              default_reply=False)
         channels = ChannelSet([address], config=config).start()
         try:
             response, _ = channels.exchange(address, "alice")
@@ -278,7 +266,7 @@ class TestLeaseFrameInterop:
         local = channel.sock.getsockname()
         # The channel socket is connected to the server, so the frame
         # must come from the server's own port to pass the kernel filter.
-        server.reply_sock.sendto(payload, local)
+        server._sock.sendto(payload, local)
         deadline = time.monotonic() + 2.0
         while time.monotonic() < deadline:
             response, _ = channels.exchange(server.address, "alice")
@@ -440,5 +428,46 @@ class TestBackendMutation:
             assert not channels.retire_backend(server.address)
             response, _ = channels.exchange(server.address, "alice", 1.0)
             assert response.allowed
+        finally:
+            channels.stop()
+
+    def test_retired_channels_close_once_idle(self, rules, server):
+        """Retired channels give their sockets back once drained.
+
+        Every procplane worker restart (``replace_backend``) and every
+        reshard shrink (``retire_backend``) retires one channel.  Its
+        socket must close as soon as nothing is pending or in flight on
+        it — not at ``stop()``, which a long-lived router never reaches.
+        """
+        fd_dir = "/proc/self/fd"
+        if not os.path.isdir(fd_dir):
+            pytest.skip("needs /proc/self/fd to count open descriptors")
+        channels = make_channels(server)
+        try:
+            with QoSServerDaemon(rules,
+                                 config=ServerConfig(workers=2)) as spare:
+                home, away = server.address, spare.address
+                channels.exchange(home, "alice", 1.0)
+                baseline = len(os.listdir(fd_dir))
+                for _ in range(50):
+                    # A worker restart moves the shard to a new port ...
+                    assert channels.replace_backend(home, away)
+                    channels.exchange_many(
+                        [(away, "alice", 1.0) for _ in range(4)])
+                    # ... and a reshard grows onto home, then shrinks.
+                    channels.add_backend(home)
+                    channels.exchange_many(
+                        [(addr, "alice", 1.0) for addr in (home, away)])
+                    assert channels.retire_backend(away)
+                    response, _ = channels.exchange(home, "alice", 1.0)
+                    assert response.allowed
+                    assert not response.is_default_reply
+                deadline = time.monotonic() + 2.0
+                while time.monotonic() < deadline and (
+                        channels._retired
+                        or len(os.listdir(fd_dir)) != baseline):
+                    time.sleep(channels.config.timer_tick)
+                assert len(channels._retired) == 0
+                assert len(os.listdir(fd_dir)) == baseline
         finally:
             channels.stop()
