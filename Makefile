@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint wire-spec verify bench bench-e2e bench-e2e-smoke bench-simkernel bench-obs bench-multicore bench-lease bench-reshard experiments experiments-paper examples clean
+.PHONY: install test lint wire-spec verify bench bench-e2e bench-e2e-smoke bench-simkernel bench-obs bench-multicore bench-lease bench-reshard experiments experiments-paper experiments-golden experiments-golden-check examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -95,6 +95,23 @@ experiments:
 
 experiments-paper:
 	REPRO_SCALE=paper $(PYTHON) -m repro.experiments.runner
+
+# Golden-experiments gate: the quick-scale runner output (table1 and
+# fig5-fig13) with the wall-clock "[... finished in Ns]" lines removed,
+# committed under tests/experiments/golden/.  `experiments-golden`
+# regenerates the file; `experiments-golden-check` diffs a fresh run
+# against it.  The output is identical at any EXPERIMENTS_JOBS.
+GOLDEN_FILE := tests/experiments/golden/runner_quick.txt
+EXPERIMENTS_JOBS ?= 1
+GOLDEN_RUN = PYTHONPATH=src REPRO_SCALE=quick $(PYTHON) -m repro.experiments.runner --jobs $(EXPERIMENTS_JOBS)
+
+experiments-golden:
+	$(GOLDEN_RUN) > $(GOLDEN_FILE).tmp
+	grep -v '^\[.* finished in .*s\]$$' $(GOLDEN_FILE).tmp > $(GOLDEN_FILE)
+	rm -f $(GOLDEN_FILE).tmp
+
+experiments-golden-check:
+	$(GOLDEN_RUN) | grep -v '^\[.* finished in .*s\]$$' | diff -u $(GOLDEN_FILE) -
 
 examples:
 	@for script in examples/*.py; do \
