@@ -10,7 +10,7 @@ Index-page flow, exactly §IV's steps with the wrapper inserted before (b):
     (w) **QoS check against Janus**         → 403 on FALSE
     (b) Memcached session lookup/create
     (c) MySQL query for the latest N images (a real SQL query against the
-        :mod:`repro.db` engine holding a ``photos`` table)
+        :mod:`repro.db` SQLite database holding a ``photos`` table)
     (d) render the HTML response            → CPU on the web node
 
 The Memcached session store is functional (:class:`repro.apps.memcached`),
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.keys import ip_key
-from repro.db.engine import Engine
+from repro.db.database import Database
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.server.cluster import SimJanusCluster
 from repro.simnet.engine import Simulation
@@ -91,7 +91,7 @@ class PhotoShareApp:
         # Dedicated r3.large helpers (their latency is modelled; their
         # *state* is real).
         self.memcached = Memcached(clock=sim.clock)
-        self.mysql = Engine("photoshare-mysql")
+        self.mysql = Database(name="photoshare-mysql")
         self.mysql.execute(PHOTOS_SCHEMA)
         # Seed timestamps are negative so photos uploaded during the run
         # (sim.now >= 0) always sort as the newest.

@@ -89,7 +89,8 @@ class RuleSource(Protocol):
     """What the admission controller needs from the database layer.
 
     Implemented by :class:`InMemoryRuleSource` (tests, examples) and by
-    :class:`repro.db.rulestore.RuleStore` (the relational substrate).
+    :class:`repro.db.rulestore.RuleStore` (the ``qos_rules`` table in
+    SQLite).
     """
 
     def get_rule(self, key: str) -> Optional[QoSRule]:

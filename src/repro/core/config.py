@@ -284,8 +284,6 @@ class ClusterTopology:
     load_balancer: str = "gateway"
     #: Optional hot-standby slave per QoS server (§III-C).
     qos_ha: bool = False
-    #: Multi-AZ master/standby database (§III-D).
-    db_ha: bool = True
 
     def __post_init__(self) -> None:
         if self.n_routers < 1 or self.n_qos_servers < 1:

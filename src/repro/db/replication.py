@@ -5,13 +5,17 @@ availability zone, a standby in another, synchronous replication, and a DNS
 name (managed by Route53) that always resolves to the current master.  On
 master failure the standby is promoted and the DNS record flips.
 
-:class:`ReplicatedDatabase` reproduces that contract:
+:class:`ReplicatedDatabase` reproduces that contract over two
+:class:`~repro.db.database.Database` copies:
 
-- every mutating statement executed on the master is applied synchronously
-  to the standby via the engine's replication hook;
+- every mutating statement runs on the master and is forwarded to the
+  standby under one replication lock, so the two never diverge; reads go to
+  the master only;
 - :meth:`fail_master` simulates an AZ failure: the standby is promoted to
   master, the failed node is detached, and the registered
   :class:`~repro.server.dns.DnsService` record (if any) is repointed;
+- :meth:`launch_standby` seeds a replacement standby with a consistent copy
+  of the master, taken under the same replication lock;
 - reads and writes always go to the *current* master, addressed through the
   stable :attr:`endpoint` name.
 """
@@ -19,12 +23,16 @@ master failure the standby is promoted and the DNS record flips.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.core.errors import ReplicationError
-from repro.db.engine import Engine, ResultSet
+from repro.db.database import Database, ResultSet
 
 __all__ = ["ReplicatedDatabase"]
+
+
+def _is_read(sql: str) -> bool:
+    return sql.lstrip()[:6].upper() == "SELECT"
 
 
 class ReplicatedDatabase:
@@ -33,57 +41,42 @@ class ReplicatedDatabase:
     def __init__(self, endpoint: str = "qos-db.cluster.local",
                  master_az: str = "az-a", standby_az: str = "az-b"):
         self.endpoint = endpoint
-        self._master = Engine(f"{endpoint}@{master_az}")
-        self._standby: Optional[Engine] = Engine(f"{endpoint}@{standby_az}")
+        self._master = Database(name=f"{endpoint}@{master_az}")
+        self._standby: Optional[Database] = Database(name=f"{endpoint}@{standby_az}")
         self._master_az = master_az
         self._standby_az = standby_az
-        self._lock = threading.RLock()
+        # The replication lock: a write holds it across master and standby,
+        # and failover and standby seeding hold it too.
+        self._lock = threading.Lock()
         self._failovers = 0
         # Optional callback invoked on failover with the new master's name;
         # the DNS layer registers here to repoint the endpoint record.
         self.on_failover: Optional[Callable[[str], None]] = None
-        self._attach_hook()
 
-    def _attach_hook(self) -> None:
-        def replicate(sql_text: str, params: tuple) -> None:
+    # ------------------------------------------------------------------ #
+    # client-facing (same surface as Database)
+    # ------------------------------------------------------------------ #
+
+    def execute(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
+        """Execute against the current master; writes reach the standby."""
+        if _is_read(sql):
             with self._lock:
-                standby = self._standby
-            if standby is not None:
-                standby.execute(sql_text, params)
-        self._master.replication_hook = replicate
-
-    # ------------------------------------------------------------------ #
-    # client-facing (same surface as Engine)
-    # ------------------------------------------------------------------ #
-
-    def execute(self, sql_text: str, params: Sequence[Any] = ()) -> ResultSet:
-        """Execute against the current master (writes replicate)."""
+                master = self._master
+            return master.execute(sql, params)
         with self._lock:
-            master = self._master
-        return master.execute(sql_text, params)
+            result = self._master.execute(sql, params)
+            if self._standby is not None:
+                self._standby.execute(sql, params)
+        return result
 
-    def table(self, name: str):
+    def executemany(self, sql: str, seq: Iterable[Sequence[Any]]) -> ResultSet:
+        """Batch write on the master, forwarded to the standby."""
+        rows = list(seq)
         with self._lock:
-            return self._master.table(name)
-
-    def table_names(self) -> list[str]:
-        with self._lock:
-            return self._master.table_names()
-
-    @property
-    def statements_executed(self) -> int:
-        with self._lock:
-            return self._master.statements_executed
-
-    @property
-    def rows_scanned(self) -> int:
-        with self._lock:
-            return self._master.rows_scanned
-
-    @property
-    def replication_hook(self):
-        """Engine-compat: chaining external hooks is not supported."""
-        return None
+            result = self._master.executemany(sql, rows)
+            if self._standby is not None:
+                self._standby.executemany(sql, rows)
+        return result
 
     # ------------------------------------------------------------------ #
     # operations
@@ -123,32 +116,23 @@ class ReplicatedDatabase:
             self._standby = None
             self._master_az, self._standby_az = self._standby_az, self._master_az
             self._failovers += 1
-            self._attach_hook()
             new_master = self._master.name
         if self.on_failover is not None:
             self.on_failover(new_master)
         return new_master
 
     def launch_standby(self) -> str:
-        """Provision a fresh standby and bulk-copy the master's state.
+        """Provision a fresh standby seeded from the master.
 
         After a failover the operator launches a replacement standby; RDS
-        seeds it from a snapshot.  We copy table-by-table under the master
-        lock, then attach the synchronous hook.
+        seeds it from a snapshot.  The copy and the attach happen under the
+        replication lock, so every write lands either in the copy or in the
+        forwarding that follows it, never in both.
         """
         with self._lock:
             if self._standby is not None:
                 raise ReplicationError(f"{self.endpoint}: standby already present")
-            standby = Engine(f"{self.endpoint}@{self._standby_az}")
-            for name in self._master.table_names():
-                src = self._master.table(name)
-                with src.lock:
-                    columns = src.columns
-                    rows = [dict(row) for _, row in src.scan()]
-                from repro.db.table import Table
-                dst = Table(name, columns)
-                for row in rows:
-                    dst.insert(row)
-                standby._tables[name] = dst
+            standby = Database(name=f"{self.endpoint}@{self._standby_az}")
+            self._master.copy_to(standby)
             self._standby = standby
             return standby.name

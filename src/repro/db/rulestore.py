@@ -2,20 +2,21 @@
 
 "The QoS rules table includes four columns - the QoS key, the refill rate,
 the capacity of the leaky bucket, and the remaining credit in the bucket."
-:class:`RuleStore` wraps an :class:`~repro.db.engine.Engine` (or the master
-side of a :class:`~repro.db.replication.ReplicatedDatabase`) and implements
-the :class:`~repro.core.admission.RuleSource` protocol the QoS servers
+:class:`RuleStore` wraps a :class:`~repro.db.database.Database` (or a
+:class:`~repro.db.replication.ReplicatedDatabase`, whose reads go to the
+current master) and implements the
+:class:`~repro.core.admission.RuleSource` protocol the QoS servers
 consume, plus the provider-side admin CRUD and the full-table warm-up scan
 (``SELECT * FROM qos_rules``) the paper issues at startup.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional, Union
 
-from repro.core.errors import SQLError
 from repro.core.rules import QoSRule
-from repro.db.engine import Engine, ResultSet
+from repro.db.database import Database
+from repro.db.replication import ReplicatedDatabase
 
 __all__ = ["RuleStore", "QOS_RULES_SCHEMA"]
 
@@ -29,13 +30,19 @@ QOS_RULES_SCHEMA = (
     "credit REAL)"
 )
 
-_SELECT_ONE = f"SELECT qos_key, refill_rate, capacity, credit FROM {TABLE} WHERE qos_key = ?"
-_SELECT_ALL = f"SELECT qos_key, refill_rate, capacity, credit FROM {TABLE}"
-_INSERT = f"INSERT INTO {TABLE} (qos_key, refill_rate, capacity, credit) VALUES (?, ?, ?, ?)"
-_UPDATE = f"UPDATE {TABLE} SET refill_rate = ?, capacity = ?, credit = ? WHERE qos_key = ?"
+_COLUMNS = "qos_key, refill_rate, capacity, credit"
+_SELECT_ONE = f"SELECT {_COLUMNS} FROM {TABLE} WHERE qos_key = ?"
+_SELECT_ALL = f"SELECT {_COLUMNS} FROM {TABLE}"
+_UPSERT = (f"INSERT INTO {TABLE} ({_COLUMNS}) VALUES (?, ?, ?, ?) "
+           "ON CONFLICT(qos_key) DO UPDATE SET refill_rate = excluded.refill_rate, "
+           "capacity = excluded.capacity, credit = excluded.credit")
 _CHECKPOINT = f"UPDATE {TABLE} SET credit = ? WHERE qos_key = ?"
 _DELETE = f"DELETE FROM {TABLE} WHERE qos_key = ?"
 _COUNT = f"SELECT COUNT(*) FROM {TABLE}"
+
+#: Keys per ``WHERE qos_key IN (...)`` select in :meth:`RuleStore.get_rules`
+#: (well under SQLite's bound-parameter limit).
+_IN_CHUNK = 500
 
 
 def _row_to_rule(row: tuple) -> QoSRule:
@@ -50,10 +57,9 @@ def _row_to_rule(row: tuple) -> QoSRule:
 class RuleStore:
     """RuleSource over the relational substrate."""
 
-    def __init__(self, engine: Optional[Engine] = None, *, create: bool = True):
-        self.engine = engine if engine is not None else Engine("qos-db")
-        if create:
-            self.engine.execute(QOS_RULES_SCHEMA)
+    def __init__(self, db: Union[Database, ReplicatedDatabase, None] = None):
+        self.db = db if db is not None else Database(name="qos-db")
+        self.db.execute(QOS_RULES_SCHEMA)
 
     # ------------------------------------------------------------------ #
     # RuleSource protocol (QoS-server side)
@@ -61,28 +67,31 @@ class RuleStore:
 
     def get_rule(self, key: str) -> Optional[QoSRule]:
         """Point lookup by primary key — the lazy-fetch path (§II-D)."""
-        result = self.engine.execute(_SELECT_ONE, (key,))
-        row = result.first()
+        row = self.db.execute(_SELECT_ONE, (key,)).first()
         return None if row is None else _row_to_rule(row)
 
     def get_rules(self, keys: Iterable[str]) -> Mapping[str, QoSRule]:
         """Batch lookup used by the sync loop.
 
         The paper's servers query "with the QoS keys in the local QoS rule
-        table"; we issue point lookups per key (each O(1) via the PK index),
-        the same access pattern a prepared-statement loop produces.
+        table"; we issue one primary-key ``IN (...)`` select per chunk of
+        keys.
         """
+        keys = list(keys)
         rules: Dict[str, QoSRule] = {}
-        for key in keys:
-            rule = self.get_rule(key)
-            if rule is not None:
-                rules[key] = rule
+        for i in range(0, len(keys), _IN_CHUNK):
+            chunk = keys[i:i + _IN_CHUNK]
+            marks = ", ".join("?" * len(chunk))
+            result = self.db.execute(f"{_SELECT_ALL} WHERE qos_key IN ({marks})", chunk)
+            for row in result:
+                rules[row[0]] = _row_to_rule(row)
         return rules
 
     def checkpoint(self, credits: Mapping[str, float]) -> None:
         """Write current credits back (crash-recovery seed, §II-D)."""
-        for key, credit in credits.items():
-            self.engine.execute(_CHECKPOINT, (float(credit), key))
+        if credits:
+            self.db.executemany(
+                _CHECKPOINT, [(float(credit), key) for key, credit in credits.items()])
 
     # ------------------------------------------------------------------ #
     # provider-side admin API
@@ -90,29 +99,16 @@ class RuleStore:
 
     def put_rule(self, rule: QoSRule) -> None:
         """Insert or update a rule (the provider selling/altering a plan)."""
-        updated = self.engine.execute(
-            _UPDATE, (rule.refill_rate, rule.capacity, rule.credit, rule.key))
-        if updated.rowcount == 0:
-            self.engine.execute(
-                _INSERT, (rule.key, rule.refill_rate, rule.capacity, rule.credit))
+        self.db.execute(
+            _UPSERT, (rule.key, rule.refill_rate, rule.capacity, rule.credit))
 
     def delete_rule(self, key: str) -> bool:
         """Remove a rule; the key falls back to the default rule on sync."""
-        return self.engine.execute(_DELETE, (key,)).rowcount > 0
+        return self.db.execute(_DELETE, (key,)).rowcount > 0
 
     def load_all(self) -> Dict[str, QoSRule]:
         """The warm-up full scan: ``SELECT * FROM qos_rules`` (§III-D)."""
-        result: ResultSet = self.engine.execute(_SELECT_ALL)
-        return {row[0]: _row_to_rule(row) for row in result}
+        return {row[0]: _row_to_rule(row) for row in self.db.execute(_SELECT_ALL)}
 
     def count(self) -> int:
-        return int(self.engine.execute(_COUNT).scalar())
-
-    def approx_bytes(self) -> int:
-        """Estimated table footprint (paper: ~100 bytes/rule, ~10 GB/100 M)."""
-        try:
-            table = self.engine.table(TABLE)
-        except SQLError:
-            return 0
-        with table.lock:
-            return table.approx_bytes()
+        return int(self.db.execute(_COUNT).scalar())

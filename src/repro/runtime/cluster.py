@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.config import ProcPlaneConfig, RouterConfig, ServerConfig
-from repro.db.engine import Engine
 from repro.db.replication import ReplicatedDatabase
 from repro.db.rulestore import RuleStore
 from repro.obs.metrics import merge_renderings
@@ -55,9 +54,9 @@ class LocalCluster:
         server_config: Optional[ServerConfig] = None,
         plane_config: Optional[ProcPlaneConfig] = None,
         lb_algorithm: str = "round_robin",
-        db_ha: bool = True,
     ):
-        self.db = ReplicatedDatabase() if db_ha else Engine("qos-db")
+        # The rules live in a Multi-AZ master/standby pair (§III-D).
+        self.db = ReplicatedDatabase()
         self.rules = RuleStore(self.db)
         self._router_config = router_config or RouterConfig(
             udp_timeout=0.05, max_retries=5)

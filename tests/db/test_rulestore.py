@@ -1,29 +1,67 @@
-"""Tests for the qos_rules table API (§II-D, §III-D)."""
+"""Tests for the qos_rules table API (§II-D, §III-D).
+
+The CRUD and checkpoint cases form one conformance suite run against every
+rule source: a RuleStore over an in-memory database, over a replicated
+pair before and after a failover, over a file reopened before the reads,
+and (for the RuleSource half) the dict-backed InMemoryRuleSource.
+"""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from repro.core.admission import InMemoryRuleSource
 from repro.core.rules import QoSRule
-from repro.db.engine import Engine
+from repro.db.database import Database
+from repro.db.replication import ReplicatedDatabase
 from repro.db.rulestore import RuleStore
 
+SEED = (QoSRule("alice", refill_rate=100.0, capacity=1000.0),
+        QoSRule("bob", refill_rate=10.0, capacity=100.0))
 
-@pytest.fixture
-def store() -> RuleStore:
-    s = RuleStore()
-    s.put_rule(QoSRule("alice", refill_rate=100.0, capacity=1000.0))
-    s.put_rule(QoSRule("bob", refill_rate=10.0, capacity=100.0))
-    return s
+STORES = ["memory-db", "replicated", "failed-over", "file"]
+
+
+def _seeded(kind: str, tmp_path):
+    """A rule source of ``kind`` holding the SEED rules."""
+    if kind == "in-memory-source":
+        return InMemoryRuleSource({rule.key: rule for rule in SEED})
+    if kind == "file":
+        path = tmp_path / "rules.db"
+        writer = Database(path)
+        store = RuleStore(writer)
+    else:
+        db = ReplicatedDatabase() if kind in ("replicated", "failed-over") else Database()
+        store = RuleStore(db)
+    for rule in SEED:
+        store.put_rule(rule)
+    if kind == "failed-over":
+        store.db.fail_master()
+    elif kind == "file":
+        writer.close()
+        store = RuleStore(Database(path))
+    return store
+
+
+@pytest.fixture(params=STORES)
+def store(request, tmp_path) -> RuleStore:
+    return _seeded(request.param, tmp_path)
+
+
+@pytest.fixture(params=STORES + ["in-memory-source"])
+def source(request, tmp_path):
+    return _seeded(request.param, tmp_path)
 
 
 class TestCrud:
-    def test_get_rule(self, store):
-        rule = store.get_rule("alice")
+    def test_get_rule(self, source):
+        rule = source.get_rule("alice")
         assert rule == QoSRule("alice", refill_rate=100.0, capacity=1000.0)
 
-    def test_get_missing_returns_none(self, store):
-        assert store.get_rule("nobody") is None
+    def test_get_missing_returns_none(self, source):
+        assert source.get_rule("nobody") is None
 
     def test_put_updates_in_place(self, store):
         store.put_rule(QoSRule("alice", refill_rate=5.0, capacity=50.0))
@@ -36,9 +74,16 @@ class TestCrud:
         assert store.get_rule("bob") is None
         assert store.count() == 1
 
-    def test_get_rules_batch(self, store):
-        rules = store.get_rules(["alice", "bob", "nobody"])
+    def test_get_rules_batch(self, source):
+        rules = source.get_rules(["alice", "bob", "nobody"])
         assert set(rules) == {"alice", "bob"}
+
+    def test_get_rules_spans_chunks(self, store):
+        keys = [f"user-{i:04d}" for i in range(1_234)]
+        for key in keys[::2]:
+            store.put_rule(QoSRule(key, 1.0, 10.0))
+        rules = store.get_rules(keys + ["alice"])
+        assert set(rules) == set(keys[::2]) | {"alice"}
 
     def test_load_all_warmup_scan(self, store):
         # "SELECT * FROM qos_rules" at startup (§III-D).
@@ -48,50 +93,72 @@ class TestCrud:
 
 
 class TestCheckpoint:
-    def test_checkpoint_round_trip(self, store):
-        store.checkpoint({"alice": 123.0})
-        assert store.get_rule("alice").credit == 123.0
+    def test_checkpoint_round_trip(self, source):
+        source.checkpoint({"alice": 123.0})
+        assert source.get_rule("alice").credit == 123.0
 
-    def test_checkpoint_unknown_key_ignored(self, store):
-        store.checkpoint({"nobody": 5.0})
-        assert store.get_rule("nobody") is None
+    def test_checkpoint_unknown_key_ignored(self, source):
+        source.checkpoint({"nobody": 5.0})
+        assert source.get_rule("nobody") is None
+
+    def test_floats_round_trip_bit_exactly(self, source):
+        credit = 0.1 + 0.2
+        source.checkpoint({"alice": credit})
+        assert source.get_rule("alice").credit.hex() == credit.hex()
+
+    def test_rule_floats_round_trip_bit_exactly(self, store):
+        store.put_rule(QoSRule("f", refill_rate=1 / 3, capacity=0.1 + 0.2))
+        rule = store.get_rule("f")
+        assert (rule.refill_rate.hex(), rule.capacity.hex()) == \
+            ((1 / 3).hex(), (0.1 + 0.2).hex())
 
     def test_oversized_checkpoint_clamped_on_read(self, store):
         # A stale checkpoint larger than a shrunk capacity must not
         # violate the rule invariant when materialized.
         store.checkpoint({"bob": 99.0})
-        store.engine.execute(
+        store.db.execute(
             "UPDATE qos_rules SET capacity = 10.0 WHERE qos_key = 'bob'")
         rule = store.get_rule("bob")
         assert rule.credit == 10.0
 
     def test_negative_checkpoint_clamped(self, store):
-        store.engine.execute(
+        store.db.execute(
             "UPDATE qos_rules SET credit = -5.0 WHERE qos_key = 'bob'")
         assert store.get_rule("bob").credit == 0.0
 
 
-class TestFootprint:
-    def test_approx_bytes_scales(self, store):
-        small = store.approx_bytes()
-        for i in range(100):
-            store.put_rule(QoSRule(f"user-{i:04d}", 1.0, 10.0))
-        assert store.approx_bytes() > small
-
-    def test_empty_engine_zero_bytes(self):
-        store = RuleStore(Engine(), create=False)
-        assert store.approx_bytes() == 0
-
-    def test_row_size_near_paper_estimate(self, store):
-        # The paper sizes a rule at ~100 bytes.
-        per_row = store.approx_bytes() / store.count()
-        assert 40 <= per_row <= 300
-
-
 class TestSharedEngine:
     def test_two_stores_share_state(self):
-        engine = Engine()
-        a = RuleStore(engine)
-        b = RuleStore(engine)
+        db = Database()
+        a = RuleStore(db)
+        b = RuleStore(db)
         a.put_rule(QoSRule("k", 1.0, 10.0))
         assert b.get_rule("k") is not None
+
+
+class TestConcurrentWriters:
+    @pytest.mark.parametrize("round_", range(3))
+    def test_concurrent_put_rule_on_new_keys(self, round_):
+        """Two writers inserting the same fresh keys both succeed: the
+        insert-or-update is one statement, not an UPDATE then an INSERT."""
+        keys = [f"fresh-{round_}-{i:05d}" for i in range(4_000)]
+        store = RuleStore()
+        barrier = threading.Barrier(2)
+        errors: list[Exception] = []
+
+        def writer(rate: float) -> None:
+            barrier.wait()
+            try:
+                for key in keys:
+                    store.put_rule(QoSRule(key, rate, 100.0))
+            except Exception as exc:  # noqa: BLE001 - recorded, asserted
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(rate,))
+                   for rate in (1.0, 2.0)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert store.count() == len(keys)
