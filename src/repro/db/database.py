@@ -40,9 +40,6 @@ class ResultSet:
             return None
         return row[0]
 
-    def as_dicts(self) -> list[dict[str, Any]]:
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
     def __len__(self) -> int:
         return len(self.rows)
 
@@ -55,9 +52,8 @@ class Database:
 
     def __init__(self, path: Union[str, Path] = ":memory:", *,
                  name: Optional[str] = None):
-        self.path = str(path)
-        self.name = name or self.path
-        self._conn = sqlite3.connect(self.path, check_same_thread=False,
+        self.name = name or str(path)
+        self._conn = sqlite3.connect(path, check_same_thread=False,
                                      isolation_level=None)
         self._lock = threading.Lock()
 
@@ -76,12 +72,10 @@ class Database:
         """Run one statement per parameter tuple in a single transaction."""
         with self._lock:
             try:
-                self._conn.execute("BEGIN")
-                cursor = self._conn.executemany(sql, seq)
-                self._conn.execute("COMMIT")
+                with self._conn:            # COMMIT, or ROLLBACK on any error
+                    self._conn.execute("BEGIN")
+                    cursor = self._conn.executemany(sql, seq)
             except sqlite3.Error as exc:
-                if self._conn.in_transaction:
-                    self._conn.execute("ROLLBACK")
                 raise SQLError(f"{exc} [{sql}]") from exc
         return ResultSet([], [], max(cursor.rowcount, 0))
 

@@ -60,9 +60,9 @@ class ReplicatedDatabase:
     def execute(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         """Execute against the current master; writes reach the standby."""
         if _is_read(sql):
-            with self._lock:
-                master = self._master
-            return master.execute(sql, params)
+            # A read needs only a master reference (one atomic load); it
+            # must not wait for a write being forwarded to the standby.
+            return self._master.execute(sql, params)
         with self._lock:
             result = self._master.execute(sql, params)
             if self._standby is not None:

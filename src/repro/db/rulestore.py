@@ -40,9 +40,12 @@ _CHECKPOINT = f"UPDATE {TABLE} SET credit = ? WHERE qos_key = ?"
 _DELETE = f"DELETE FROM {TABLE} WHERE qos_key = ?"
 _COUNT = f"SELECT COUNT(*) FROM {TABLE}"
 
-#: Keys per ``WHERE qos_key IN (...)`` select in :meth:`RuleStore.get_rules`
-#: (well under SQLite's bound-parameter limit).
-_IN_CHUNK = 500
+#: Keys per statement batch in :meth:`RuleStore.get_rules` (one
+#: ``WHERE qos_key IN (...)`` select, well under SQLite's bound-parameter
+#: limit) and :meth:`RuleStore.checkpoint` (one ``executemany``).  A batch
+#: holds the database lock, and a QoS server's lazy rule fetch waits on
+#: that lock while holding a bucket-shard lock, so batches stay short.
+_CHUNK = 500
 
 
 def _row_to_rule(row: tuple) -> QoSRule:
@@ -79,8 +82,8 @@ class RuleStore:
         """
         keys = list(keys)
         rules: Dict[str, QoSRule] = {}
-        for i in range(0, len(keys), _IN_CHUNK):
-            chunk = keys[i:i + _IN_CHUNK]
+        for i in range(0, len(keys), _CHUNK):
+            chunk = keys[i:i + _CHUNK]
             marks = ", ".join("?" * len(chunk))
             result = self.db.execute(f"{_SELECT_ALL} WHERE qos_key IN ({marks})", chunk)
             for row in result:
@@ -89,9 +92,9 @@ class RuleStore:
 
     def checkpoint(self, credits: Mapping[str, float]) -> None:
         """Write current credits back (crash-recovery seed, §II-D)."""
-        if credits:
-            self.db.executemany(
-                _CHECKPOINT, [(float(credit), key) for key, credit in credits.items()])
+        rows = [(float(credit), key) for key, credit in credits.items()]
+        for i in range(0, len(rows), _CHUNK):
+            self.db.executemany(_CHECKPOINT, rows[i:i + _CHUNK])
 
     # ------------------------------------------------------------------ #
     # provider-side admin API

@@ -8,6 +8,7 @@ and (for the RuleSource half) the dict-backed InMemoryRuleSource.
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
@@ -106,12 +107,6 @@ class TestCheckpoint:
         source.checkpoint({"alice": credit})
         assert source.get_rule("alice").credit.hex() == credit.hex()
 
-    def test_rule_floats_round_trip_bit_exactly(self, store):
-        store.put_rule(QoSRule("f", refill_rate=1 / 3, capacity=0.1 + 0.2))
-        rule = store.get_rule("f")
-        assert (rule.refill_rate.hex(), rule.capacity.hex()) == \
-            ((1 / 3).hex(), (0.1 + 0.2).hex())
-
     def test_oversized_checkpoint_clamped_on_read(self, store):
         # A stale checkpoint larger than a shrunk capacity must not
         # violate the rule invariant when materialized.
@@ -147,7 +142,7 @@ class TestConcurrentWriters:
         errors: list[Exception] = []
 
         def writer(rate: float) -> None:
-            barrier.wait()
+            barrier.wait(timeout=10)
             try:
                 for key in keys:
                     store.put_rule(QoSRule(key, rate, 100.0))
@@ -156,9 +151,15 @@ class TestConcurrentWriters:
 
         threads = [threading.Thread(target=writer, args=(rate,))
                    for rate in (1.0, 2.0)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # interleave the writers finely
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert store.count() == len(keys)
