@@ -23,16 +23,12 @@ master failure the standby is promoted and the DNS record flips.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.core.errors import ReplicationError
-from repro.db.database import Database, ResultSet
+from repro.db.database import Database, ResultSet, is_read
 
 __all__ = ["ReplicatedDatabase"]
-
-
-def _is_read(sql: str) -> bool:
-    return sql.lstrip()[:6].upper() == "SELECT"
 
 
 class ReplicatedDatabase:
@@ -59,7 +55,7 @@ class ReplicatedDatabase:
 
     def execute(self, sql: str, params: Sequence[Any] = ()) -> ResultSet:
         """Execute against the current master; writes reach the standby."""
-        if _is_read(sql):
+        if is_read(sql):
             # A read needs only a master reference (one atomic load); it
             # must not wait for a write being forwarded to the standby.
             return self._master.execute(sql, params)
@@ -67,15 +63,6 @@ class ReplicatedDatabase:
             result = self._master.execute(sql, params)
             if self._standby is not None:
                 self._standby.execute(sql, params)
-        return result
-
-    def executemany(self, sql: str, seq: Iterable[Sequence[Any]]) -> ResultSet:
-        """Batch write on the master, forwarded to the standby."""
-        rows = list(seq)
-        with self._lock:
-            result = self._master.executemany(sql, rows)
-            if self._standby is not None:
-                self._standby.executemany(sql, rows)
         return result
 
     # ------------------------------------------------------------------ #

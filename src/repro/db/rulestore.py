@@ -36,15 +36,18 @@ _SELECT_ALL = f"SELECT {_COLUMNS} FROM {TABLE}"
 _UPSERT = (f"INSERT INTO {TABLE} ({_COLUMNS}) VALUES (?, ?, ?, ?) "
            "ON CONFLICT(qos_key) DO UPDATE SET refill_rate = excluded.refill_rate, "
            "capacity = excluded.capacity, credit = excluded.credit")
-_CHECKPOINT = f"UPDATE {TABLE} SET credit = ? WHERE qos_key = ?"
+_CHECKPOINT = (f"UPDATE {TABLE} SET credit = v.column1 FROM (VALUES {{}}) AS v "
+               "WHERE qos_key = v.column2")
 _DELETE = f"DELETE FROM {TABLE} WHERE qos_key = ?"
 _COUNT = f"SELECT COUNT(*) FROM {TABLE}"
 
-#: Keys per statement batch in :meth:`RuleStore.get_rules` (one
-#: ``WHERE qos_key IN (...)`` select, well under SQLite's bound-parameter
-#: limit) and :meth:`RuleStore.checkpoint` (one ``executemany``).  A batch
-#: holds the database lock, and a QoS server's lazy rule fetch waits on
-#: that lock while holding a bucket-shard lock, so batches stay short.
+#: Keys per statement in :meth:`RuleStore.get_rules` (a ``WHERE qos_key
+#: IN (...)`` select) and :meth:`RuleStore.checkpoint` (an ``UPDATE ...
+#: FROM (VALUES ...)``, which needs SQLite >= 3.33).  Both stay well under
+#: SQLite's bound-parameter limit.  The checkpoint writes each batch in
+#: one statement step rather than one step per row: ``sqlite3`` gives up
+#: the interpreter lock at every step, and under load each step can wait
+#: milliseconds to get it back while holding the write lock.
 _CHUNK = 500
 
 
@@ -94,7 +97,9 @@ class RuleStore:
         """Write current credits back (crash-recovery seed, §II-D)."""
         rows = [(float(credit), key) for key, credit in credits.items()]
         for i in range(0, len(rows), _CHUNK):
-            self.db.executemany(_CHECKPOINT, rows[i:i + _CHUNK])
+            chunk = rows[i:i + _CHUNK]
+            self.db.execute(_CHECKPOINT.format(", ".join(["(?, ?)"] * len(chunk))),
+                            [value for row in chunk for value in row])
 
     # ------------------------------------------------------------------ #
     # provider-side admin API
