@@ -100,10 +100,9 @@ experiments-paper:
 # fig5-fig13) with the wall-clock "[... finished in Ns]" lines removed,
 # committed under tests/experiments/golden/.  `experiments-golden`
 # regenerates the file; `experiments-golden-check` diffs a fresh run
-# against it.  The output is identical at any EXPERIMENTS_JOBS.
+# against it.  The runner's output is identical at any --jobs value.
 GOLDEN_FILE := tests/experiments/golden/runner_quick.txt
-EXPERIMENTS_JOBS ?= 1
-GOLDEN_RUN = PYTHONPATH=src REPRO_SCALE=quick $(PYTHON) -m repro.experiments.runner --jobs $(EXPERIMENTS_JOBS)
+GOLDEN_RUN = PYTHONPATH=src REPRO_SCALE=quick $(PYTHON) -m repro.experiments.runner
 
 experiments-golden:
 	$(GOLDEN_RUN) > $(GOLDEN_FILE).tmp

@@ -135,10 +135,11 @@ class TestConcurrentWriters:
     @pytest.mark.parametrize("round_", range(3))
     def test_concurrent_put_rule_on_new_keys(self, round_):
         """Two writers inserting the same fresh keys both succeed: the
-        insert-or-update is one statement, not an UPDATE then an INSERT."""
+        insert-or-update is one statement, not an UPDATE then an INSERT.
+        A reader runs beside them, as a QoS server's lazy fetch would."""
         keys = [f"fresh-{round_}-{i:05d}" for i in range(4_000)]
         store = RuleStore()
-        barrier = threading.Barrier(2)
+        barrier = threading.Barrier(3)
         errors: list[Exception] = []
 
         def writer(rate: float) -> None:
@@ -149,8 +150,19 @@ class TestConcurrentWriters:
             except Exception as exc:  # noqa: BLE001 - recorded, asserted
                 errors.append(exc)
 
+        def reader() -> None:
+            barrier.wait(timeout=10)
+            try:
+                for key in keys[::40]:
+                    rule = store.get_rule(key)
+                    assert rule is None or rule.refill_rate in (1.0, 2.0)
+                    store.get_rules(keys[:600])
+            except Exception as exc:  # noqa: BLE001 - recorded, asserted
+                errors.append(exc)
+
         threads = [threading.Thread(target=writer, args=(rate,))
                    for rate in (1.0, 2.0)]
+        threads.append(threading.Thread(target=reader))
         switch_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)     # interleave the writers finely
         try:
